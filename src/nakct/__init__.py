@@ -46,7 +46,6 @@ from .modules import (
     ZERO,
     ARQuiver,
     Indec,
-    MatrixRep,
     ar_quiver,
     canonical,
     cover_hull,
@@ -59,9 +58,6 @@ from .modules import (
     injectives,
     is_injective,
     is_projective,
-    matrix_ext_dim,
-    matrix_hom_dim,
-    matrix_rep,
     min_resolution,
     omega,
     projective_dimension,
@@ -93,3 +89,14 @@ from .tilting import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE = ("MatrixRep", "matrix_ext_dim", "matrix_hom_dim", "matrix_rep")
+
+
+def __getattr__(name):
+    # the matrix oracle (and linalg) load on first use, never with the library
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -111,19 +111,23 @@ def _validate_kupisch(kind: Kind, c: tuple[int, ...]) -> None:
                 )
 
 
+def _kind(kind: Kind | str) -> Kind:
+    """A Kind, or its name in any case; anything else is InvalidParameter."""
+    if isinstance(kind, Kind):
+        return kind
+    try:
+        return Kind(kind.lower())
+    except (AttributeError, ValueError):
+        raise InvalidParameter(f"unknown kind {kind!r}")
+
+
 def from_kupisch(kind: Kind | str, c) -> Algebra:
-    if isinstance(kind, str):
-        try:
-            kind = Kind(kind.lower())
-        except ValueError:
-            raise InvalidParameter(f"unknown kind {kind!r}")
-    return Algebra(kind, tuple(c))
+    return Algebra(_kind(kind), tuple(c))
 
 
 def homogeneous(kind: Kind | str, m: int, l: int) -> Algebra:
     """The algebra on m vertices with relations all paths of length l."""
-    if isinstance(kind, str):
-        kind = Kind(kind.lower())
+    kind = _kind(kind)
     if l < 2:
         raise InvalidParameter("homogeneous Loewy length must be >= 2")
     if m < 1 or (kind is Kind.ACYCLIC and m < 2):
@@ -224,21 +228,24 @@ def to_json_dict(algebra: Algebra) -> dict:
     return {"kind": algebra.kind.value, "kupisch": list(algebra.kupisch)}
 
 
+def _ints(values) -> bool:
+    """Whether values are all JSON integers (no bools, floats or strings)."""
+    return all(type(x) is int for x in values)
+
+
 def from_json_dict(data: dict) -> Algebra:
     if not isinstance(data, dict):
         raise InvalidParameter("algebra JSON must be an object")
     try:
-        kind = Kind(str(data["kind"]).lower())
-    except (KeyError, ValueError):
+        kind = _kind(data["kind"])
+    except (KeyError, InvalidParameter):
         raise InvalidParameter("algebra JSON needs \"kind\": \"acyclic\"|\"cyclic\"")
     if "homogeneous" in data:
         spec = data["homogeneous"]
-        try:
-            return homogeneous(kind, int(spec["m"]), int(spec["l"]))
-        except (KeyError, TypeError, ValueError):
+        if not (isinstance(spec, dict) and _ints([spec.get("m"), spec.get("l")])):
             raise InvalidParameter("homogeneous shorthand needs integer \"m\" and \"l\"")
-    try:
-        c = [int(x) for x in data["kupisch"]]
-    except (KeyError, TypeError, ValueError):
-        raise InvalidParameter("algebra JSON needs \"kupisch\": [c_1, ..., c_m]")
+        return homogeneous(kind, spec["m"], spec["l"])
+    c = data.get("kupisch")
+    if not (isinstance(c, list) and _ints(c)):
+        raise InvalidParameter("algebra JSON needs \"kupisch\": [c_1, ..., c_m] of integers")
     return from_kupisch(kind, c)

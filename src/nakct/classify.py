@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .algebra import Algebra, Kind, cut_points, is_homogeneous, unglue
+from .algebra import Algebra, Kind, _kind, cut_points, is_homogeneous, unglue
 from .errors import InternalError, InvalidParameter, KindMismatch
 from .modules import Indec, canonical, injectives, projectives, simple
 from .tilting import subcategory_key, tau_n_closure, verify_ct
@@ -57,8 +57,7 @@ def admits_homog_nct(kind: Kind | str, m: int, l: int, n: int) -> bool:
     """Whether the homogeneous algebra on (kind, m, l) has an n-cluster
     tilting subcategory (not necessarily nZ); in the cyclic case this is a
     pair of gcd divisibility conditions."""
-    if isinstance(kind, str):
-        kind = Kind(kind.lower())
+    kind = _kind(kind)
     if l < 2 or n < 2 or m < 1 or (kind is Kind.ACYCLIC and m < 2):
         raise InvalidParameter(f"bad parameters kind={kind}, m={m}, l={l}, n={n}")
     d = l * (n - 1) + 2
@@ -155,14 +154,15 @@ def _classify_homogeneous(algebra: Algebra, n: int, l: int) -> ClassificationRes
 
 
 def _classify_acyclic_glued(algebra: Algebra, n: int) -> ClassificationResult:
-    candidate = tau_n_closure(algebra, n)
-    verdict = verify_ct(algebra, candidate, n, "nZ").verdict
+    # decompose decides; a failed parse is cross-checked here and a
+    # successful one by classify_nz's re-verification of the closure
     decomposition = decompose(algebra, n)
-    if verdict != (decomposition is not None):
-        raise InternalError(
-            f"tau_n-closure verification and decomposition disagree on {algebra}, n={n}"
-        )
-    if not verdict:
+    candidate = tau_n_closure(algebra, n)
+    if decomposition is None:
+        if verify_ct(algebra, candidate, n, "nZ").verdict:
+            raise InternalError(
+                f"tau_n-closure verification and decomposition disagree on {algebra}, n={n}"
+            )
         return ClassificationResult(False, Case.NONE, None, ())
     return ClassificationResult(True, Case.ACYCLIC_GLUED, decomposition, (candidate,))
 

@@ -174,8 +174,15 @@ def cmd_gldim(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as InvalidParameter, so it prints as one JSON line."""
+
+    def error(self, message):
+        raise InvalidParameter(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nakct",
         description="Exact computations over Nakayama algebras: AR quivers, "
         "Ext groups, cluster-tilting subcategories, singularity models.",
@@ -238,9 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except GroundSetTooLarge as exc:
         sys.stderr.write(json.dumps({"error": "GroundSetTooLarge", "reason": str(exc)}) + "\n")

@@ -3,22 +3,28 @@
 Indecomposables are the uniserials M(i,j) with socle at vertex i and top at
 vertex j (canonically 1 <= i <= m, with M(i+m, j+m) identified with M(i,j)).
 Projective covers, injective hulls, syzygies and AR translates are all index
-arithmetic driven by lmax/rmax; Hom and Ext dimensions are grounded in an
-exact matrix-representation oracle.
+arithmetic driven by lmax/rmax; Hom dimensions count admissible images of
+the top and are checked against the matrix oracle in ``nakct.oracle``.
 
-Ext is computed from minimal projective resolutions and cochain ranks only.
-The tempting shortcut Ext^k(M,N) = stable-Hom(Omega^k M, N) fails as soon as
-a syzygy becomes projective (already Ext^1 between the two simples over the
-two-vertex line algebra), so it is not used anywhere.
+Ext comes from dimension shifting.  Hom(-, N) turns the sequence
+0 -> Omega Y -> P(Y) -> Y -> 0 into the exact sequence
+
+    0 -> Hom(Y,N) -> Hom(P(Y),N) -> Hom(Omega Y,N) -> Ext^1(Y,N) -> 0,
+
+because Ext^1(P(Y), N) = 0, so dim Ext^1(Y,N) is an alternating sum of
+three Hom dimensions; and Ext^k(X,N) = Ext^1(Omega^(k-1) X, N) for the same
+reason.  Both steps hold for every module, so the count stays exact when a
+syzygy is projective (its Ext^1 is then 0 and the walk stops).  The tempting
+shortcut Ext^k(M,N) = stable-Hom(Omega^k M, N) does not: over the two-vertex
+line algebra Omega S_2 = P_1, and the shortcut gives 0 for
+Ext^1(S_2, S_1) = 1.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from . import linalg
 from .algebra import Algebra
 from .errors import InternalError, InvalidParameter
 
@@ -187,116 +193,8 @@ def hom_dim(algebra: Algebra, m1: Indec, m2: Indec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Matrix representations: the exact linear-algebra oracle.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatrixRep:
-    """Per-vertex bases and per-arrow 0/1 matrices of a uniserial module.
-
-    ``basis[v]`` lists the integer labels t (i <= t <= j, t = v mod m) of the
-    basis vectors living at vertex v; the arrow at v maps b_t to b_{t-1}.
-    """
-
-    algebra: Algebra
-    module: tuple[int, int]
-    basis: tuple[tuple[int, ...], ...]  # index v-1 holds labels at vertex v
-    arrows: tuple[tuple[tuple[int, ...], ...], ...]  # arrows[v-1]: vertex v -> v-1
-
-    def dim(self, v: int) -> int:
-        return len(self.basis[v - 1])
-
-
-def matrix_rep(algebra: Algebra, module: Indec | tuple[int, int]) -> MatrixRep:
-    i, j = module
-    m = algebra.m
-    basis = tuple(
-        tuple(t for t in range(i, j + 1) if (t - v) % m == 0) for v in range(1, m + 1)
-    )
-    arrow_vertices = range(1, m + 1) if algebra.is_cyclic else range(2, m + 1)
-    arrows = []
-    for v in range(1, m + 1):
-        src = basis[v - 1]
-        dst = basis[algebra.vertex(v - 1) - 1]
-        if v not in arrow_vertices:
-            mat = tuple(tuple(0 for _ in src) for _ in dst)
-        else:
-            mat = tuple(
-                tuple(1 if t - 1 == s and t - 1 >= i else 0 for t in src) for s in dst
-            )
-        arrows.append(mat)
-    return MatrixRep(algebra, (i, j), basis, tuple(arrows))
-
-
-def _hom_constraints(algebra: Algebra, rm: MatrixRep, rn: MatrixRep):
-    """Linear system for graded maps X commuting with all arrow actions."""
-    m = algebra.m
-    dims_m = [rm.dim(v) for v in range(1, m + 1)]
-    dims_n = [rn.dim(v) for v in range(1, m + 1)]
-    offsets = []
-    total = 0
-    for v in range(m):
-        offsets.append(total)
-        total += dims_n[v] * dims_m[v]
-
-    def var(v, p, q):  # entry X_v[p][q], 0-based vertex v
-        return offsets[v] + p * dims_m[v] + q
-
-    arrow_vertices = range(1, m + 1) if algebra.is_cyclic else range(2, m + 1)
-    rows = []
-    for v in arrow_vertices:
-        w = algebra.vertex(v - 1)
-        na = rn.arrows[v - 1]  # N_v -> N_w
-        ma = rm.arrows[v - 1]  # M_v -> M_w
-        for p in range(dims_n[w - 1]):
-            for q in range(dims_m[v - 1]):
-                row = [0] * total
-                for r in range(dims_n[v - 1]):
-                    row[var(v - 1, r, q)] += na[p][r]
-                for s in range(dims_m[w - 1]):
-                    row[var(w - 1, p, s)] -= ma[s][q]
-                if any(row):
-                    rows.append(row)
-    return rows, total
-
-
-def matrix_hom_dim(algebra: Algebra, m1: Indec | tuple[int, int], m2: Indec | tuple[int, int]) -> int:
-    """dim Hom via the commuting-equations system; the oracle for hom_dim."""
-    rm = matrix_rep(algebra, m1)
-    rn = matrix_rep(algebra, m2)
-    rows, total = _hom_constraints(algebra, rm, rn)
-    return total - linalg.rank(rows)
-
-
-def matrix_hom_basis(algebra: Algebra, m1, m2) -> list[list[int]]:
-    rm = matrix_rep(algebra, m1)
-    rn = matrix_rep(algebra, m2)
-    rows, total = _hom_constraints(algebra, rm, rn)
-    return linalg.nullspace(rows, total)
-
-
-# ---------------------------------------------------------------------------
 # Minimal projective resolutions and Ext.
 # ---------------------------------------------------------------------------
-
-
-def _resolution_raw(algebra: Algebra, module: Indec, length: int) -> list:
-    """Syzygies and covers in raw integer coordinates.
-
-    Returns a list of (cover, syzygy) pairs, entry k covering Omega^k; None
-    once the resolution has terminated.
-    """
-    out = []
-    cur = (module.i, module.j)
-    for _ in range(length + 1):
-        if cur is None:
-            out.append(None)
-            continue
-        i, j = cur
-        out.append(((algebra.lmax(j), j), (i, j)))
-        cur = _omega_raw(algebra, i, j)
-    return out
 
 
 def min_resolution(algebra: Algebra, module: Indec, length: int) -> list[IndecOrZero]:
@@ -304,198 +202,39 @@ def min_resolution(algebra: Algebra, module: Indec, length: int) -> list[IndecOr
     if length < 0:
         raise InvalidParameter("resolution length must be >= 0")
     terms = []
-    for entry in _resolution_raw(algebra, module, length):
-        if entry is None:
+    cur = (module.i, module.j)
+    for _ in range(length + 1):
+        if cur is None:
             terms.append(ZERO)
-        else:
-            (a, b), _ = entry
-            terms.append(canonical(algebra, a, b))
+            continue
+        terms.append(canonical(algebra, algebra.lmax(cur[1]), cur[1]))
+        cur = _omega_raw(algebra, *cur)
     return terms
 
 
-class _ExtCalculator:
-    """Per-algebra memo of Ext cochain data.
-
-    Pure-function cache: fills are idempotent, so concurrent use is safe.
-    """
-
-    def __init__(self, algebra: Algebra):
-        self.algebra = algebra
-        self._cochains: dict = {}
-
-    def _hom_basis_shifts(self, source_raw, target: Indec) -> list[int]:
-        """Admissible top-images v of Hom(M(a,b) raw, target), ascending."""
-        a, b = source_raw
-        c, d = target
-        m = self.algebra.m
-        vs = []
-        v = c + (b - c) % m
-        while v <= d:
-            if v - c <= b - a:
-                vs.append(v)
-            v += m
-        return vs
-
-    def ext(self, m1: Indec, m2: Indec, k: int) -> int:
-        if k < 1:
-            raise InvalidParameter("ext_dim needs k >= 1")
-        key = (m1, m2)
-        data = self._cochains.get(key)
-        if data is None or len(data[0]) <= k + 1:
-            data = self._build_cochain(m1, m2, k + 1)
-            self._cochains[key] = data
-        dims, ranks = data
-        value = dims[k] - ranks[k] - ranks[k - 1]
+def ext_dims_upto(algebra: Algebra, m1: Indec, m2: Indec, kmax: int) -> tuple[int, ...]:
+    """(dim Ext^1, ..., dim Ext^kmax)(m1, m2) by dimension shifting."""
+    if kmax < 1:
+        raise InvalidParameter("ext_dim needs k >= 1")
+    dims = []
+    cur = (m1.i, m1.j)
+    while cur is not None and len(dims) < kmax:
+        i, j = cur
+        syzygy = _omega_raw(algebra, i, j)
+        # Hom(-, m2) on 0 -> syzygy -> P(cur) -> cur -> 0
+        value = hom_dim(algebra, cur, m2) - hom_dim(algebra, (algebra.lmax(j), j), m2)
+        if syzygy is not None:
+            value += hom_dim(algebra, syzygy, m2)
         if value < 0:
-            raise InternalError("negative cohomology dimension")
-        return value
-
-    def ext_upto(self, m1: Indec, m2: Indec, kmax: int) -> tuple[int, ...]:
-        """(dim Ext^1, ..., dim Ext^kmax), building the cochain once."""
-        key = (m1, m2)
-        data = self._cochains.get(key)
-        if data is None or len(data[0]) <= kmax + 1:
-            data = self._build_cochain(m1, m2, kmax + 1)
-            self._cochains[key] = data
-        dims, ranks = data
-        return tuple(dims[k] - ranks[k] - ranks[k - 1] for k in range(1, kmax + 1))
-
-    def _build_cochain(self, m1: Indec, m2: Indec, length: int):
-        """Hom(-, m2) applied to the minimal resolution of m1.
-
-        Returns (dims, ranks): dims[k] = dim Hom(P_k, m2), ranks[k] = rank of
-        the differential Hom(P_k, m2) -> Hom(P_{k+1}, m2).
-        """
-        algebra = self.algebra
-        res = _resolution_raw(algebra, m1, length)
-        dims = []
-        bases = []
-        for entry in res:
-            if entry is None:
-                dims.append(0)
-                bases.append([])
-            else:
-                cover, _ = entry
-                vs = self._hom_basis_shifts(cover, m2)
-                dims.append(len(vs))
-                bases.append(vs)
-        ranks = []
-        for k in range(length):
-            ranks.append(self._differential_rank(res, bases, k, m2))
-        ranks.append(0)  # unused guard
-        return dims, ranks
-
-    def _differential_rank(self, res, bases, k: int, target: Indec) -> int:
-        """Rank of phi -> phi . f_{k+1} : Hom(P_k, N) -> Hom(P_{k+1}, N).
-
-        The canonical map f_{k+1}: P_{k+1} ->> Omega^{k+1} m1 c-> P_k sends
-        basis to basis, so each composite is again a shift map or zero; the
-        rank is still confirmed by exact elimination.
-        """
-        if res[k] is None or res[k + 1] is None:
-            return 0
-        cover_k, _ = res[k]
-        cover_k1, _ = res[k + 1]
-        src_basis = bases[k]
-        dst_basis = bases[k + 1]
-        if not src_basis:
-            return 0
-        drop = cover_k[1] - cover_k1[1]  # top of P_k minus top of P_{k+1}
-        c = target.i
-        pos = {v: r for r, v in enumerate(dst_basis)}
-        matrix = [[0] * len(src_basis) for _ in range(max(1, len(dst_basis)))]
-        for col, v in enumerate(src_basis):
-            v2 = v - drop
-            if v2 >= c:
-                row = pos.get(v2)
-                if row is None:
-                    raise InternalError("composite hom missing from cochain basis")
-                matrix[row][col] = 1
-        return linalg.rank(matrix)
-
-
-@functools.lru_cache(maxsize=64)
-def _calculator(algebra: Algebra) -> _ExtCalculator:
-    return _ExtCalculator(algebra)
+            raise InternalError("negative Ext dimension")
+        dims.append(value)
+        cur = syzygy
+    return tuple(dims) + (0,) * (kmax - len(dims))
 
 
 def ext_dim(algebra: Algebra, m1: Indec, m2: Indec, k: int) -> int:
-    """dim Ext^k(m1, m2), k >= 1, via minimal resolution and cochain ranks."""
-    return _calculator(algebra).ext(m1, m2, k)
-
-
-def ext_dims_upto(algebra: Algebra, m1: Indec, m2: Indec, kmax: int) -> tuple[int, ...]:
-    """(dim Ext^1, ..., dim Ext^kmax) in one pass over the resolution."""
-    return _calculator(algebra).ext_upto(m1, m2, kmax)
-
-
-def matrix_ext_dim(algebra: Algebra, m1: Indec, m2: Indec, k: int) -> int:
-    """Independent Ext oracle: the whole cochain realized with matrices.
-
-    Hom spaces come from nullspaces of commuting systems and differentials
-    from composing those solution matrices with the canonical resolution
-    maps; used to cross-check ext_dim.
-    """
-    if k < 1:
-        raise InvalidParameter("ext needs k >= 1")
-    res = _resolution_raw(algebra, m1, k + 1)
-    reps = [matrix_rep(algebra, entry[0]) if entry else None for entry in res]
-    target = matrix_rep(algebra, m2)
-    hom_bases = []
-    for rep in reps:
-        if rep is None:
-            hom_bases.append([])
-        else:
-            rows, total = _hom_constraints(algebra, rep, target)
-            hom_bases.append(linalg.nullspace(rows, total))
-
-    def diff_rank(kk: int) -> int:
-        if reps[kk] is None or reps[kk + 1] is None or not hom_bases[kk]:
-            return 0
-        fmap = _canonical_map_matrices(algebra, reps[kk + 1], reps[kk])
-        composites = [
-            _compose_flat(algebra, phi, reps[kk], fmap, reps[kk + 1], target)
-            for phi in hom_bases[kk]
-        ]
-        return linalg.rank(composites)
-
-    return len(hom_bases[k]) - diff_rank(k) - diff_rank(k - 1)
-
-
-def _canonical_map_matrices(algebra: Algebra, src: MatrixRep, dst: MatrixRep):
-    """Per-vertex matrices of P_{k+1} ->> Omega c-> P_k (label-preserving)."""
-    m = algebra.m
-    a_dst = dst.module[0]
-    mats = []
-    for v in range(1, m + 1):
-        cols = src.basis[v - 1]
-        rows = dst.basis[v - 1]
-        mats.append(
-            [[1 if r == t and t >= a_dst else 0 for t in cols] for r in rows]
-        )
-    return mats
-
-
-def _compose_flat(algebra, phi_flat, rep_k, fmap, rep_k1, target):
-    """Flatten (X . F) where X: P_k -> N is given by the flat vector phi."""
-    m = algebra.m
-    # unflatten phi into per-vertex matrices X_v (dimN x dimP_k)
-    xs = []
-    pos = 0
-    for v in range(1, m + 1):
-        dn, dm = len(target.basis[v - 1]), len(rep_k.basis[v - 1])
-        mat = [phi_flat[pos + p * dm : pos + (p + 1) * dm] for p in range(dn)]
-        pos += dn * dm
-        xs.append(mat)
-    out = []
-    for v in range(1, m + 1):
-        x, f = xs[v - 1], fmap[v - 1]
-        dn = len(target.basis[v - 1])
-        dc = len(rep_k1.basis[v - 1])
-        for p in range(dn):
-            for q in range(dc):
-                out.append(sum(x[p][s] * f[s][q] for s in range(len(f))))
-    return out
+    """dim Ext^k(m1, m2), k >= 1."""
+    return ext_dims_upto(algebra, m1, m2, k)[k - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ finite bookkeeping over the block decomposition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .algebra import Algebra, Kind, cut_points, homogeneous, unglue
@@ -110,8 +111,13 @@ def cyclic_simples(algebra: Algebra) -> set[int]:
     return on_cycle
 
 
+@functools.lru_cache(maxsize=64)
 def _blocks(algebra: Algebra, n: int | None) -> tuple[Decomposition, int]:
-    """Decomposition and n for a classified cyclic non-homogeneous algebra."""
+    """Decomposition and n for a classified cyclic non-homogeneous algebra.
+
+    Memoized, so that the parts of one singularity query classify the
+    algebra once between them.
+    """
     if algebra.kind is not Kind.CYCLIC:
         raise NotInClassifiedCase("need a cyclic algebra")
     candidates = [n] if n is not None else sorted(_candidate_n(algebra))

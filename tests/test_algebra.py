@@ -58,6 +58,8 @@ def test_homogeneous_patterns():
         homogeneous(Kind.ACYCLIC, 7, 1)
     with pytest.raises(InvalidParameter):
         homogeneous(Kind.ACYCLIC, 1, 2)
+    with pytest.raises(InvalidParameter):
+        homogeneous("foo", 3, 2)
 
 
 def test_bounds_fixtures(lam_a, lam_b):
@@ -156,6 +158,18 @@ def test_json_round_trip(lam_a, lam_c):
     assert from_json_dict(shorthand) == homogeneous(Kind.CYCLIC, 6, 3)
     with pytest.raises(InvalidParameter):
         from_json_dict({"kupisch": [1, 2]})
+    for bad in (
+        {"kind": "acyclic", "kupisch": [1, 2.9, 3]},
+        {"kind": "acyclic", "kupisch": [1, True]},
+        {"kind": "acyclic", "kupisch": [1, "2"]},
+        {"kind": "acyclic", "kupisch": "12"},
+        {"kind": "cyclic", "homogeneous": {"m": 6.0, "l": 3}},
+        {"kind": "cyclic", "homogeneous": {"m": 6, "l": "3"}},
+        {"kind": "cyclic", "homogeneous": {"m": 6, "l": False}},
+        {"kind": 1, "kupisch": [1, 2]},
+    ):
+        with pytest.raises(InvalidParameter):
+            from_json_dict(bad)
 
 
 def test_algebra_is_hashable_value(lam_a):

@@ -27,6 +27,8 @@ def test_admits_fixtures():
     assert admits_homog_nct(Kind.ACYCLIC, 9, 2, 4)
     with pytest.raises(InvalidParameter):
         admits_homog_nct(Kind.ACYCLIC, 7, 1, 4)
+    with pytest.raises(InvalidParameter):
+        admits_homog_nct("foo", 7, 3, 4)
 
 
 def test_admits_agrees_with_brute_force_small():

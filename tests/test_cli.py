@@ -34,6 +34,7 @@ def files(tmp_path):
     )
     write("big.json", {"kind": "cyclic", "homogeneous": {"m": 10, "l": 8}})
     write("bad.json", {"kind": "acyclic", "kupisch": [1, 1]})
+    write("float.json", {"kind": "acyclic", "kupisch": [1, 2.9, 3]})
     return paths
 
 
@@ -175,6 +176,13 @@ def test_input_error_exit_codes(files, capsys):
     assert json.loads(err)["error"] == "InvalidKupisch"
     code, _, err = _run(capsys, ["gldim", "/nonexistent/file.json"])
     assert code == 2
+    code, out, err = _run(capsys, ["classify", "--n", "2", files["float.json"]])
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "InvalidParameter"
+    code, out, err = _run(capsys, ["classify", "--n", "x", files["a9r2.json"]])
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidParameter"
 
 
 def test_capacity_exit_code(files, capsys, monkeypatch):

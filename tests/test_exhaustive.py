@@ -1,0 +1,56 @@
+"""classify_nz against brute force on every small algebra.
+
+The series are generated exhaustively, not sampled, so every Kupisch series
+whose entries sum to at most TOTAL is covered.  The bound may be raised, but
+never lowered.
+"""
+
+from nakct import Kind, classify_nz, enumerate_ct, from_kupisch
+from nakct.tilting import subcategory_key
+
+TOTAL = 16
+
+
+def kupisch_series(total):
+    """Every admissible series with entries summing to at most total:
+    the acyclic ones, and the cyclic ones once per rotation class (as the
+    lexicographically least rotation)."""
+    acyclic, cyclic = [], []
+
+    def grow(c, room, is_cyclic):
+        if is_cyclic:
+            if c[0] <= c[-1] + 1 and c == min(c[s:] + c[:s] for s in range(len(c))):
+                cyclic.append(c)
+        elif len(c) >= 2:
+            acyclic.append(c)
+        top = c[-1] + 1 if is_cyclic else min(len(c) + 1, c[-1] + 1)
+        for x in range(2, min(top, room) + 1):
+            grow(c + (x,), room - x, is_cyclic)
+
+    grow((1,), total - 1, False)
+    for first in range(2, total + 1):
+        grow((first,), total - first, True)
+    return acyclic, cyclic
+
+
+def test_generator_counts():
+    acyclic, cyclic = kupisch_series(TOTAL)
+    assert (len(acyclic), len(cyclic)) == (89, 105)
+    assert len(set(acyclic)) == len(acyclic) and len(set(cyclic)) == len(cyclic)
+
+
+def test_classify_matches_enumeration_exhaustively():
+    acyclic, cyclic = kupisch_series(TOTAL)
+    algebras = [from_kupisch(Kind.ACYCLIC, c) for c in acyclic]
+    algebras += [from_kupisch(Kind.CYCLIC, c) for c in cyclic]
+    pairs = positive = 0
+    for algebra in algebras:
+        for n in range(2, 7):
+            result = classify_nz(algebra, n)
+            brute = enumerate_ct(algebra, n, "nZ")
+            assert sorted(map(subcategory_key, result.subcategories)) == list(
+                map(subcategory_key, brute)
+            ), (algebra, n)
+            pairs += 1
+            positive += result.exists
+    assert (pairs, positive) == (970, 30)

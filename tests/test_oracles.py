@@ -1,8 +1,11 @@
 """Dual-route checks: every combinatorial count must match the exact
 matrix-representation computation."""
 
+import ast
 import itertools
+from pathlib import Path
 
+import nakct
 from nakct import (
     Kind,
     ext_dim,
@@ -60,7 +63,7 @@ def test_ext_matrix_agreement_random():
     for algebra in random_algebras(424243, 6, total_cap=18):
         mods = indecomposables(algebra)
         for x, y in itertools.product(mods, repeat=2):
-            for k in (1, 2):
+            for k in (1, 2, 3, 4, 5):
                 assert ext_dim(algebra, x, y, k) == matrix_ext_dim(algebra, x, y, k)
 
 
@@ -93,3 +96,17 @@ def test_ar_formula_cross_check(lam_a, lam_b):
                 x,
                 y,
             )
+
+
+def test_oracle_stays_out_of_production():
+    package = Path(nakct.__file__).parent
+    for name in ("algebra", "modules", "tilting", "classify", "singularity", "render", "cli"):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").rsplit(".", 1)[-1])
+                imported.update(alias.name for alias in node.names)
+        assert not imported & {"oracle", "linalg"}, name
