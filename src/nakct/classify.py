@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, Kind, _kind, cut_points, is_homogeneous, unglue
 from .errors import InternalError, InvalidParameter, KindMismatch
 from .modules import Indec, canonical, injectives, projectives, simple
-from .tilting import subcategory_key, tau_n_closure, verify_ct
+from .tilting import ct_failures, subcategory_key, tau_n_closure, verify_ct
 
 
 class Case(enum.Enum):
@@ -154,12 +154,12 @@ def _classify_homogeneous(algebra: Algebra, n: int, l: int) -> ClassificationRes
 
 
 def _classify_acyclic_glued(algebra: Algebra, n: int) -> ClassificationResult:
-    # decompose decides; a failed parse is cross-checked here and a
-    # successful one by classify_nz's re-verification of the closure
+    # decompose decides; a failed parse is cross-checked here (one failure
+    # suffices) and a successful one by classify_nz's re-verification
     decomposition = decompose(algebra, n)
     candidate = tau_n_closure(algebra, n)
     if decomposition is None:
-        if verify_ct(algebra, candidate, n, "nZ").verdict:
+        if next(ct_failures(algebra, candidate, n, "nZ"), None) is None:
             raise InternalError(
                 f"tau_n-closure verification and decomposition disagree on {algebra}, n={n}"
             )

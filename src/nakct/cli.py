@@ -18,12 +18,14 @@ from . import modules as mod
 from . import singularity as sing
 from . import tilting
 from .errors import GroundSetTooLarge, InvalidParameter, NakctError
-from .render import RenderSpec, render_ar, render_resolution
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
+
+# largest Ext degree the ext command computes; one Omega step per degree
+MAX_EXT_DEGREE = 1000
 
 
 def _emit(payload) -> None:
@@ -85,13 +87,14 @@ def cmd_ext(args) -> int:
     algebra = _load_algebra(args.algebra)
     x = _parse_module(algebra, args.x)
     y = _parse_module(algebra, args.y)
+    top = args.k if args.k is not None else args.max_k
+    if top > MAX_EXT_DEGREE:
+        raise InvalidParameter(f"Ext degree {top} exceeds the bound {MAX_EXT_DEGREE}")
     if args.k is not None:
-        degrees = [args.k]
+        values = [{"k": args.k, "dim": mod.ext_dim(algebra, x, y, args.k)}]
     else:
-        degrees = list(range(1, args.max_k + 1))
-    values = [
-        {"k": k, "dim": mod.ext_dim(algebra, x, y, k)} for k in degrees
-    ]
+        dims = mod.ext_dims_upto(algebra, x, y, args.max_k) if args.max_k >= 1 else ()
+        values = [{"k": k, "dim": dim} for k, dim in enumerate(dims, start=1)]
     _emit({"ext": values, "hom": mod.hom_dim(algebra, x, y)})
     return EXIT_OK
 
@@ -104,8 +107,9 @@ def cmd_ar_quiver(args) -> int:
     if args.circle:
         circle = tilting.members_from_json(algebra, _read_json(args.circle))
     if args.render:
-        spec = RenderSpec(args.render, highlight, circle)
-        sys.stdout.write(render_ar(algebra, spec))
+        from .render import RenderSpec, render_ar
+
+        sys.stdout.write(render_ar(algebra, RenderSpec(args.render, highlight, circle)))
         return EXIT_OK
     quiver = mod.ar_quiver(algebra)
     _emit(
@@ -123,6 +127,8 @@ def cmd_resolution_quiver(args) -> int:
     algebra = _load_algebra(args.algebra)
     quiver = sing.resolution_quiver(algebra)
     if args.render:
+        from .render import render_resolution
+
         sys.stdout.write(render_resolution(quiver, args.render))
         return EXIT_OK
     _emit({"successor": {str(i): j for i, j in quiver.successor}})

@@ -18,6 +18,21 @@ syzygy is projective (its Ext^1 is then 0 and the walk stops).  The tempting
 shortcut Ext^k(M,N) = stable-Hom(Omega^k M, N) does not: over the two-vertex
 line algebra Omega S_2 = P_1, and the shortcut gives 0 for
 Ext^1(S_2, S_1) = 1.
+
+Hom is closed-form.  A nonzero map M(a,b) -> M(c,d) sends the top of the
+source to a basis vector b_v of the target with v = b (mod m), and it is
+well defined exactly when c <= v <= min(d, c + b - a); so dim Hom counts
+the v = b (mod m) in that window, (hi - b)//m - (c - 1 - b)//m with
+hi = min(d, c + b - a).  The count is unchanged when either module is
+shifted by m.
+
+The same window bounds where Ext^1 can live.  Ext^1(Y, N) is a quotient of
+Hom(Omega Y, N), and for Y = M(i,j) with p = lmax(j) the syzygy is
+M(p, i-1), whose top is at i-1.  Shifting N = M(c,d) so that the image of
+that top lies at i-1 gives p <= c <= i-1 <= d <= rmax(c); every N outside
+that window has Hom(Omega Y, N) = 0 and so Ext^1(Y, N) = 0.
+``ext_table`` reads its Ext^1 rows off those windows only, instead of
+trying every pair, and takes degree k from the Ext^1 row of Omega^(k-1) X.
 """
 
 from __future__ import annotations
@@ -174,22 +189,15 @@ def tau_n(algebra: Algebra, module: IndecOrZero, n: int, direction: str) -> Inde
 
 
 def hom_dim(algebra: Algebra, m1: Indec, m2: Indec) -> int:
-    """dim Hom(M(a,b), M(c,d)) by counting admissible images of the top.
+    """dim Hom(M(a,b), M(c,d)): the v = b (mod m) in [c, min(d, c+b-a)].
 
-    A nonzero hom sends the top basis vector of the source to a basis vector
-    b_v of the target with v congruent to b mod m; it is well defined exactly
-    when v - c <= b - a.  Must agree with the matrix-representation oracle.
+    Each such v is the image of the top of the source in a nonzero map.
+    Must agree with the matrix-representation oracle.
     """
     a, b = m1
     c, d = m2
     m = algebra.m
-    count = 0
-    v = d - (d - b) % m
-    while v >= c:
-        if v - c <= b - a:
-            count += 1
-        v -= m
-    return count
+    return (min(d, c + b - a) - b) // m - (c - 1 - b) // m
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +220,17 @@ def min_resolution(algebra: Algebra, module: Indec, length: int) -> list[IndecOr
     return terms
 
 
+def _ext1(algebra: Algebra, i: int, j: int, syzygy, target) -> int:
+    """dim Ext^1(M(i,j), target) from Hom(-, target) on
+    0 -> syzygy -> P(M(i,j)) -> M(i,j) -> 0 (syzygy None when M(i,j) is projective)."""
+    value = hom_dim(algebra, (i, j), target) - hom_dim(algebra, (algebra.lmax(j), j), target)
+    if syzygy is not None:
+        value += hom_dim(algebra, syzygy, target)
+    if value < 0:
+        raise InternalError("negative Ext dimension")
+    return value
+
+
 def ext_dims_upto(algebra: Algebra, m1: Indec, m2: Indec, kmax: int) -> tuple[int, ...]:
     """(dim Ext^1, ..., dim Ext^kmax)(m1, m2) by dimension shifting."""
     if kmax < 1:
@@ -219,17 +238,51 @@ def ext_dims_upto(algebra: Algebra, m1: Indec, m2: Indec, kmax: int) -> tuple[in
     dims = []
     cur = (m1.i, m1.j)
     while cur is not None and len(dims) < kmax:
-        i, j = cur
-        syzygy = _omega_raw(algebra, i, j)
-        # Hom(-, m2) on 0 -> syzygy -> P(cur) -> cur -> 0
-        value = hom_dim(algebra, cur, m2) - hom_dim(algebra, (algebra.lmax(j), j), m2)
-        if syzygy is not None:
-            value += hom_dim(algebra, syzygy, m2)
-        if value < 0:
-            raise InternalError("negative Ext dimension")
-        dims.append(value)
+        syzygy = _omega_raw(algebra, *cur)
+        dims.append(_ext1(algebra, *cur, syzygy, m2))
         cur = syzygy
     return tuple(dims) + (0,) * (kmax - len(dims))
+
+
+def ext_table(algebra: Algebra, kmax: int) -> list[list[int]]:
+    """Where Ext^1..Ext^kmax vanish, as bitsets over indecomposables(algebra).
+
+    Bit y of ``table[k-1][x]`` is set iff Ext^k(x, y) != 0, with x and y
+    positions in ``indecomposables(algebra)``.  Built per call; nothing is
+    kept between calls.
+    """
+    if kmax < 1:
+        raise InvalidParameter("ext_dim needs k >= 1")
+    m = algebra.m
+    first = [0] * (m + 1)  # first[i]: position of M(i,i)
+    for i in range(1, m):
+        first[i + 1] = first[i] + algebra.rmax(i) - i + 1
+
+    def position(i: int, j: int) -> int:
+        shift = i - algebra.vertex(i)
+        return first[i - shift] + j - i
+
+    ground = indecomposables(algebra)
+    ext1 = [0] * len(ground)
+    syzygy_at: list[int | None] = [None] * len(ground)
+    for x, (i, j) in enumerate(ground):
+        syzygy = _omega_raw(algebra, i, j)
+        if syzygy is None:
+            continue
+        syzygy_at[x] = position(*syzygy)
+        row = 0
+        for c in range(syzygy[0], i):
+            for d in range(i - 1, algebra.rmax(c) + 1):
+                if _ext1(algebra, i, j, syzygy, (c, d)):
+                    row |= 1 << position(c, d)
+        ext1[x] = row
+
+    table = [ext1]
+    at: list[int | None] = list(range(len(ground)))  # position of Omega^(k-1) x
+    for _ in range(kmax - 1):
+        at = [None if x is None else syzygy_at[x] for x in at]
+        table.append([0 if x is None else ext1[x] for x in at])
+    return table
 
 
 def ext_dim(algebra: Algebra, m1: Indec, m2: Indec, k: int) -> int:

@@ -6,12 +6,14 @@ injectives, pairwise Ext-orthogonality in degrees 1..n-1, the two
 perpendicularity equalities, and (in nZ mode) closure under the n-th
 syzygy.  Enumeration walks maximal orthogonal supersets of the forced
 members and filters them through the verifier: maximality is necessary but
-not sufficient.
+not sufficient.  Both read the Ext-vanishing bitsets of ``ext_table``,
+built once per call.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .algebra import Algebra
@@ -19,7 +21,7 @@ from .errors import GroundSetTooLarge, InvalidParameter, InvalidSubcategory
 from .modules import (
     ZERO,
     Indec,
-    ext_dims_upto,
+    ext_table,
     indecomposables,
     injectives,
     is_projective,
@@ -77,12 +79,10 @@ def members_from_json(algebra: Algebra, data) -> frozenset[Indec]:
         raise InvalidSubcategory("subcategory JSON must be {\"members\": [[i,j],...]}")
     out = set()
     for pair in data:
-        try:
-            i, j = int(pair[0]), int(pair[1])
-        except (TypeError, ValueError, IndexError):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)):
             raise InvalidSubcategory(f"bad member entry {pair!r}")
         try:
-            out.add(indec(algebra, i, j))
+            out.add(indec(algebra, *pair))
         except InvalidParameter as exc:
             raise InvalidSubcategory(str(exc))
     return frozenset(out)
@@ -90,6 +90,17 @@ def members_from_json(algebra: Algebra, data) -> frozenset[Indec]:
 
 def verify_ct(algebra: Algebra, members, n: int, mode: str = "nZ") -> VerifyReport:
     """Check whether ``members`` is an n- (or nZ-) cluster tilting subcategory."""
+    failures = tuple(ct_failures(algebra, members, n, mode))
+    return VerifyReport(verdict=not failures, failures=failures)
+
+
+def ct_failures(algebra: Algebra, members, n: int, mode: str = "nZ") -> Iterator[Failure]:
+    """Every reason ``members`` is not n- (or nZ-) cluster tilting, lazily.
+
+    The arguments are checked at once; the failures come in the order of
+    ``verify_ct``, so a caller that needs only the verdict can stop at the
+    first one.
+    """
     if n < 2:
         raise InvalidParameter("cluster tilting needs n >= 2")
     if mode not in ("n", "nZ"):
@@ -100,40 +111,43 @@ def verify_ct(algebra: Algebra, members, n: int, mode: str = "nZ") -> VerifyRepo
     if not members <= ground_set:
         bad = sorted(members - ground_set)[0]
         raise InvalidSubcategory(f"{bad} is not a module over {algebra}")
+    return _failures(algebra, members, ground, n, mode)
 
-    failures: list[Failure] = []
-    kmax = n - 1
 
+def _failures(algebra, members, ground, n, mode) -> Iterator[Failure]:
     for p in sorted(projectives(algebra)):
         if p not in members:
-            failures.append(Failure("MissingProjective", module=p))
+            yield Failure("MissingProjective", module=p)
     for q in sorted(injectives(algebra)):
         if q not in members:
-            failures.append(Failure("MissingInjective", module=q))
+            yield Failure("MissingInjective", module=q)
 
+    table = ext_table(algebra, n - 1)
+    hit = _hits(table)
+    index = {module: x for x, module in enumerate(ground)}
     ordered = sorted(members)
+    chosen = left = 0
     for x in ordered:
-        for y in ordered:
-            dims = ext_dims_upto(algebra, x, y, kmax)
-            for k in range(1, kmax + 1):
-                if dims[k - 1]:
-                    failures.append(
-                        Failure("OrthogonalityFailure", module=x, other=y, degree=k)
-                    )
+        chosen |= 1 << index[x]
+        left |= hit[index[x]]
 
-    for z in ground:
-        if z in members:
+    for x in ordered:
+        if not hit[index[x]] & chosen:
             continue
-        hit_left = any(
-            any(ext_dims_upto(algebra, c, z, kmax)) for c in ordered
-        )
-        hit_right = any(
-            any(ext_dims_upto(algebra, z, c, kmax)) for c in ordered
-        )
+        for y in ordered:
+            for k, rows in enumerate(table, start=1):
+                if rows[index[x]] >> index[y] & 1:
+                    yield Failure("OrthogonalityFailure", module=x, other=y, degree=k)
+
+    for z, module in enumerate(ground):
+        if chosen >> z & 1:
+            continue
+        hit_left = left >> z & 1
+        hit_right = hit[z] & chosen
         if hit_left and hit_right:
             continue
         side = "both" if not hit_left and not hit_right else ("left" if not hit_left else "right")
-        failures.append(Failure("PerpGap", module=z, side=side))
+        yield Failure("PerpGap", module=module, side=side)
 
     if mode == "nZ":
         for x in ordered:
@@ -141,9 +155,16 @@ def verify_ct(algebra: Algebra, members, n: int, mode: str = "nZ") -> VerifyRepo
                 continue
             image = omega(algebra, x, n)
             if image is not ZERO and image not in members:
-                failures.append(Failure("NotClosedUnderOmegaN", module=x))
+                yield Failure("NotClosedUnderOmegaN", module=x)
 
-    return VerifyReport(verdict=not failures, failures=tuple(failures))
+
+def _hits(table: list[list[int]]) -> list[int]:
+    """Per module x, the bitset of y with Ext^k(x, y) != 0 for some tabulated k."""
+    hit = [0] * len(table[0])
+    for rows in table:
+        for x, row in enumerate(rows):
+            hit[x] |= row
+    return hit
 
 
 def tau_n_closure(algebra: Algebra, n: int) -> frozenset[Indec]:
@@ -197,20 +218,15 @@ def enumerate_ct(
         )
 
     ground = indecomposables(algebra)
-    kmax = n - 1
     size = len(ground)
     index = {module: x for x, module in enumerate(ground)}
 
-    nonzero = [[False] * size for _ in range(size)]
-    for x, mx in enumerate(ground):
-        for y, my in enumerate(ground):
-            nonzero[x][y] = any(ext_dims_upto(algebra, mx, my, kmax))
-
-    conflict = [0] * size
+    hit = _hits(ext_table(algebra, n - 1))
+    conflict = list(hit)
     for x in range(size):
         for y in range(size):
-            if nonzero[x][y] or nonzero[y][x]:
-                conflict[x] |= 1 << y
+            if hit[x] >> y & 1:
+                conflict[y] |= 1 << x
 
     forced = sorted({index[p] for p in projectives(algebra) | injectives(algebra)})
     forced_mask = 0
@@ -265,26 +281,22 @@ def enumerate_ct(
     for mask in maximal:
         chosen = forced_mask | mask
         members = frozenset(ground[x] for x in range(size) if (chosen >> x) & 1)
-        if _passes(algebra, ground, index, nonzero, conflict, chosen, members, n, mode):
+        if _passes(algebra, hit, chosen, members, n, mode):
             results.append(members)
     results.sort(key=subcategory_key)
     return results
 
 
-def _passes(algebra, ground, index, nonzero, conflict, chosen, members, n, mode) -> bool:
+def _passes(algebra, hit, chosen, members, n, mode) -> bool:
     """Fast verifier for enumeration candidates (conflict-freeness is given)."""
-    for z, mz in enumerate(ground):
-        if (chosen >> z) & 1:
+    left = 0
+    for c, row in enumerate(hit):
+        if chosen >> c & 1:
+            left |= row
+    for z, row in enumerate(hit):
+        if chosen >> z & 1:
             continue
-        hit_left = hit_right = False
-        for c in range(len(ground)):
-            if not (chosen >> c) & 1:
-                continue
-            hit_left = hit_left or nonzero[c][z]
-            hit_right = hit_right or nonzero[z][c]
-            if hit_left and hit_right:
-                break
-        if not (hit_left and hit_right):
+        if not (left >> z & 1 and row & chosen):
             return False
     if mode == "nZ":
         for module in members:

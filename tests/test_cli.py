@@ -35,6 +35,7 @@ def files(tmp_path):
     write("big.json", {"kind": "cyclic", "homogeneous": {"m": 10, "l": 8}})
     write("bad.json", {"kind": "acyclic", "kupisch": [1, 1]})
     write("float.json", {"kind": "acyclic", "kupisch": [1, 2.9, 3]})
+    write("float_members.json", {"members": [[1.9, 2.2], [1, 1]]})
     return paths
 
 
@@ -183,6 +184,18 @@ def test_input_error_exit_codes(files, capsys):
     assert code == 2 and not out
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "InvalidParameter"
+    code, out, err = _run(
+        capsys, ["verify", "--n", "4", "--subcat", files["float_members.json"], files["lamC.json"]]
+    )
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "InvalidSubcategory"
+    for flag in ("--k", "--max-k"):
+        code, out, err = _run(
+            capsys, ["ext", "--x", "1,1", "--y", "1,1", flag, "100000", files["lamC.json"]]
+        )
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "InvalidParameter"
 
 
 def test_capacity_exit_code(files, capsys, monkeypatch):

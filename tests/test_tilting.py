@@ -3,6 +3,7 @@ import pytest
 from nakct import (
     GroundSetTooLarge,
     Indec,
+    InvalidParameter,
     InvalidSubcategory,
     Kind,
     ZERO,
@@ -21,6 +22,7 @@ from nakct import (
     translate,
     verify_ct,
 )
+from nakct.tilting import ct_failures
 
 
 def a9r2():
@@ -57,12 +59,21 @@ def test_verify_missing_injective():
         f.kind == "MissingInjective" and f.module == Indec(7, 7)
         for f in report.failures
     )
+    # the lazy stream yields the same failures in the same order
+    stream = ct_failures(algebra, members, 4, "nZ")
+    assert next(stream) == report.failures[0]
+    assert (report.failures[0],) + tuple(stream) == report.failures
 
 
 def test_verify_rejects_foreign_member():
     algebra = homogeneous(Kind.ACYCLIC, 7, 3)
     with pytest.raises(InvalidSubcategory):
         verify_ct(algebra, frozenset({Indec(1, 7)}), 2)
+    # ct_failures checks its arguments when called, not when first iterated
+    with pytest.raises(InvalidSubcategory):
+        ct_failures(algebra, frozenset({Indec(1, 7)}), 2)
+    with pytest.raises(InvalidParameter):
+        ct_failures(algebra, frozenset(), 1)
 
 
 def test_tau_closure_fixtures():
