@@ -10,15 +10,28 @@ integer sequences
     lmax(j) = j - c_j + 1      (smallest socle position under top j)
     rmax(i) = max{j >= i : lmax(j) <= i}   (largest top position over socle i)
 
-extended m-periodically to all integers.
+extended m-periodically to all integers.  Both are tabulated over one
+period when the algebra is built (lmax is weakly increasing, so one sweep
+finds every rmax), and each lookup is O(1).
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
-from .errors import InvalidKupisch, InvalidParameter, KindMismatch, NoArrow, NotACutPoint
+from .errors import (
+    GroundSetTooLarge,
+    InvalidKupisch,
+    InvalidParameter,
+    KindMismatch,
+    NoArrow,
+    NotACutPoint,
+)
+
+# largest number of indecomposables an algebra read from JSON may have
+MAX_INDECOMPOSABLES = 20_000
 
 
 class Kind(enum.Enum):
@@ -37,16 +50,26 @@ class HomogeneitySpec:
 class Algebra:
     kind: Kind
     kupisch: tuple[int, ...]
+    m: int = field(init=False, repr=False, compare=False)
     _lmax: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _rmax: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _validate_kupisch(self.kind, self.kupisch)
-        lmax = tuple(j + 1 - c for j, c in enumerate(self.kupisch, start=1))
+        m = len(self.kupisch)
+        lmax = tuple(map(operator.sub, range(2, m + 2), self.kupisch))  # j + 1 - c_j
+        # lmax is weakly increasing, so one pointer finds every
+        # rmax(i) = max{j : lmax(j) <= i}.  It starts at the last j = 1 (mod m)
+        # with lmax(j) <= 1 and then moves fewer than 2m steps in all.
+        rmax = []
+        j = 1 + (1 - lmax[0]) // m * m
+        for i in range(1, m + 1):
+            while lmax[j % m] + j // m * m <= i:  # lmax(j + 1) <= i
+                j += 1
+            rmax.append(j)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "_lmax", lmax)
-
-    @property
-    def m(self) -> int:
-        return len(self.kupisch)
+        object.__setattr__(self, "_rmax", tuple(rmax))
 
     @property
     def is_cyclic(self) -> bool:
@@ -61,12 +84,8 @@ class Algebra:
         return self._lmax[base] + (j - 1 - base)
 
     def rmax(self, i: int) -> int:
-        # lmax is weakly increasing, so scan until it exceeds i.  The scan
-        # is bounded by the maximal Kupisch entry.
-        j = i
-        while self.lmax(j + 1) <= i:
-            j += 1
-        return j
+        base = (i - 1) % self.m
+        return self._rmax[base] + (i - 1 - base)
 
     def bounds(self, v: int) -> tuple[int, int]:
         return self.lmax(v), self.rmax(v)
@@ -244,8 +263,24 @@ def from_json_dict(data: dict) -> Algebra:
         spec = data["homogeneous"]
         if not (isinstance(spec, dict) and _ints([spec.get("m"), spec.get("l")])):
             raise InvalidParameter("homogeneous shorthand needs integer \"m\" and \"l\"")
-        return homogeneous(kind, spec["m"], spec["l"])
+        m, l = spec["m"], spec["l"]
+        if m > 0 and l > 0:  # homogeneous() rejects the rest
+            if kind is Kind.CYCLIC:
+                _check_size(m * l)
+            else:  # the sum of min(j, l) over j = 1..m
+                short = min(m, l)
+                _check_size(short * (short + 1) // 2 + (m - short) * l)
+        return homogeneous(kind, m, l)
     c = data.get("kupisch")
     if not (isinstance(c, list) and _ints(c)):
         raise InvalidParameter("algebra JSON needs \"kupisch\": [c_1, ..., c_m] of integers")
+    _check_size(sum(c))
     return from_kupisch(kind, c)
+
+
+def _check_size(count: int) -> None:
+    """The sum of the Kupisch series is the number of indecomposables."""
+    if count > MAX_INDECOMPOSABLES:
+        raise GroundSetTooLarge(
+            f"{count} indecomposables exceeds the bound {MAX_INDECOMPOSABLES}"
+        )

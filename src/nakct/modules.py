@@ -26,13 +26,22 @@ the v = b (mod m) in that window, (hi - b)//m - (c - 1 - b)//m with
 hi = min(d, c + b - a).  The count is unchanged when either module is
 shifted by m.
 
-The same window bounds where Ext^1 can live.  Ext^1(Y, N) is a quotient of
-Hom(Omega Y, N), and for Y = M(i,j) with p = lmax(j) the syzygy is
-M(p, i-1), whose top is at i-1.  Shifting N = M(c,d) so that the image of
-that top lies at i-1 gives p <= c <= i-1 <= d <= rmax(c); every N outside
-that window has Hom(Omega Y, N) = 0 and so Ext^1(Y, N) = 0.
-``ext_table`` reads its Ext^1 rows off those windows only, instead of
-trying every pair, and takes degree k from the Ext^1 row of Omega^(k-1) X.
+Ext^1 itself has a closed form, the interval law.  For Y = M(i,j) with
+p = lmax(j) < i the syzygy is Omega Y = M(p, i-1), and Ext^1(Y, N) is the
+cokernel of Hom(P(Y), N) -> Hom(Omega Y, N).  Shift N = M(c,d) so that a
+basis map of Hom(Omega Y, N) sends the top i-1 of Omega Y to b_(i-1); that
+map exists exactly when p <= c <= i-1 <= d.  It extends to P(Y) = M(p,j)
+exactly when the basis map of Hom(P(Y), N) sending the top j to b_j
+exists, i.e. when j <= d, and every other map from P(Y) restricts to a
+different basis map or to 0.  So Ext^1(Y, N) != 0 iff, for some shift of N,
+
+    p <= c <= i-1 <= d <= min(j-1, rmax(c)).
+
+For each c that is one run of consecutive positions M(c, i-1) ..
+M(c, min(j-1, rmax(c))) in ``indecomposables``, and ``ext_table`` ORs one
+mask per run into the Ext^1 row of Y, with no Hom call; degree k is the
+Ext^1 row of Omega^(k-1) X.  ``ext_dims_upto`` keeps the three-Hom count
+for dimensions, and the tests hold the table to it.
 """
 
 from __future__ import annotations
@@ -42,8 +51,6 @@ from typing import NamedTuple, Union
 
 from .algebra import Algebra
 from .errors import InternalError, InvalidParameter
-
-INFINITY = float("inf")
 
 
 class Indec(NamedTuple):
@@ -76,6 +83,23 @@ class _Zero:
 
 ZERO = _Zero()
 IndecOrZero = Union[Indec, _Zero]
+
+
+class _Infinity:
+    """The projective dimension of a module whose syzygies cycle; not a float."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "INFINITY"
+
+
+INFINITY = _Infinity()
 
 
 def canonical(algebra: Algebra, i: int, j: int) -> Indec:
@@ -259,22 +283,21 @@ def ext_table(algebra: Algebra, kmax: int) -> list[list[int]]:
         first[i + 1] = first[i] + algebra.rmax(i) - i + 1
 
     def position(i: int, j: int) -> int:
-        shift = i - algebra.vertex(i)
-        return first[i - shift] + j - i
+        return first[algebra.vertex(i)] + j - i
 
     ground = indecomposables(algebra)
     ext1 = [0] * len(ground)
     syzygy_at: list[int | None] = [None] * len(ground)
     for x, (i, j) in enumerate(ground):
-        syzygy = _omega_raw(algebra, i, j)
-        if syzygy is None:
+        p = algebra.lmax(j)
+        if p == i:
             continue
-        syzygy_at[x] = position(*syzygy)
+        syzygy_at[x] = position(p, i - 1)
         row = 0
-        for c in range(syzygy[0], i):
-            for d in range(i - 1, algebra.rmax(c) + 1):
-                if _ext1(algebra, i, j, syzygy, (c, d)):
-                    row |= 1 << position(c, d)
+        for c in range(p, i):
+            # the run M(c, i-1) .. M(c, hi): consecutive positions
+            hi = min(j - 1, algebra.rmax(c))
+            row |= ((1 << (hi - i + 2)) - 1) << position(c, i - 1)
         ext1[x] = row
 
     table = [ext1]
@@ -314,12 +337,31 @@ def projective_dimension(algebra: Algebra, module: Indec):
 
 
 def gldim(algebra: Algebra):
-    """Global dimension: max projective dimension over the simples."""
+    """Global dimension: max projective dimension over the simples.
+
+    One walk along Omega: every module met gets its pd, so a later walk
+    stops at the first module already known, and a walk that comes back to
+    a module of its own path has infinite pd.
+    """
+    known: dict[Indec, int] = {}
     best = 0
     for v in range(1, algebra.m + 1):
-        pd = projective_dimension(algebra, simple(algebra, v))
-        if pd == INFINITY:
-            return INFINITY
+        path = []
+        on_path = set()
+        cur = simple(algebra, v)
+        while cur not in known:
+            if is_projective(algebra, cur):
+                known[cur] = 0
+                break
+            if cur in on_path:
+                return INFINITY
+            path.append(cur)
+            on_path.add(cur)
+            cur = omega(algebra, cur, 1)
+        pd = known[cur]
+        for module in reversed(path):
+            pd += 1
+            known[module] = pd
         best = max(best, pd)
     return best
 

@@ -36,6 +36,8 @@ def files(tmp_path):
     write("bad.json", {"kind": "acyclic", "kupisch": [1, 1]})
     write("float.json", {"kind": "acyclic", "kupisch": [1, 2.9, 3]})
     write("float_members.json", {"members": [[1.9, 2.2], [1, 1]]})
+    write("huge.json", {"kind": "acyclic", "homogeneous": {"m": 100000000, "l": 3}})
+    write("huge_kupisch.json", {"kind": "cyclic", "kupisch": [20001]})
     return paths
 
 
@@ -206,6 +208,14 @@ def test_capacity_exit_code(files, capsys, monkeypatch):
     monkeypatch.setenv("NAKCT_MAX_GROUND_SET", "80")
     code, out, _ = _run(capsys, ["enumerate", "--n", "2", files["big.json"]])
     assert code == 0
+
+
+def test_size_cap_exit_code(files, capsys):
+    for name in ("huge.json", "huge_kupisch.json"):
+        code, out, err = _run(capsys, ["gldim", files[name]])
+        assert code == 3 and not out
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "GroundSetTooLarge"
 
 
 def test_determinism_across_processes(files):

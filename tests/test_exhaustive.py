@@ -5,7 +5,18 @@ whose entries sum to at most TOTAL is covered.  The bound may be raised, but
 never lowered.
 """
 
-from nakct import Kind, classify_nz, enumerate_ct, ext_dims_upto, from_kupisch, indecomposables
+from nakct import (
+    INFINITY,
+    Kind,
+    classify_nz,
+    enumerate_ct,
+    ext_dims_upto,
+    from_kupisch,
+    gldim,
+    indecomposables,
+    projective_dimension,
+    simple,
+)
 from nakct.modules import ext_table
 from nakct.tilting import subcategory_key
 
@@ -46,6 +57,23 @@ def test_generator_counts():
     acyclic, cyclic = kupisch_series(TOTAL)
     assert (len(acyclic), len(cyclic)) == (357, 275)
     assert len(set(acyclic)) == len(acyclic) and len(set(cyclic)) == len(cyclic)
+
+
+def test_rmax_matches_scan_exhaustively():
+    for algebra in all_algebras(TOTAL):
+        m = algebra.m
+        for i in range(-m, 2 * m + 1):
+            j = i
+            while algebra.lmax(j + 1) <= i:
+                j += 1
+            assert algebra.rmax(i) == j, (algebra, i)
+
+
+def test_gldim_matches_projective_dimensions_exhaustively():
+    for algebra in all_algebras(TOTAL):
+        pds = [projective_dimension(algebra, simple(algebra, v)) for v in range(1, algebra.m + 1)]
+        expected = INFINITY if INFINITY in pds else max(pds)
+        assert gldim(algebra) == expected, algebra
 
 
 def test_ext_table_matches_ext_dims_exhaustively():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from nakct import (
@@ -10,6 +12,7 @@ from nakct import (
     canonical,
     cover_hull,
     ext_dim,
+    ext_dims_upto,
     from_kupisch,
     gldim,
     hom_dim,
@@ -27,6 +30,7 @@ from nakct import (
     tau_n,
     translate,
 )
+from nakct.modules import ext_table
 
 
 def test_indecomposable_counts(lam_a):
@@ -124,6 +128,41 @@ def test_gldim_fixtures(lam_c, glued15):
     assert gldim(lam_c) == INFINITY
     assert projective_dimension(lam_c, Indec(2, 2)) == INFINITY
     assert gldim(from_kupisch(Kind.ACYCLIC, (1, 2, 3))) == 1
+
+
+def test_gldim_long_line():
+    # one Omega walk: each simple's syzygy is the previous simple
+    assert gldim(homogeneous(Kind.ACYCLIC, 20001, 2)) == 20000
+
+
+def test_infinity_is_not_a_number(lam_c):
+    assert not isinstance(INFINITY, (int, float))
+    assert repr(INFINITY) == "INFINITY"
+    assert gldim(lam_c) is INFINITY
+
+
+def _long_cyclic(rng, m):
+    """A cyclic Kupisch series with entries up to 3m, so modules wrap around."""
+    while True:
+        c = [rng.randint(2, 3 * m)]
+        for _ in range(m - 1):
+            c.append(rng.randint(max(2, c[-1] - 2), min(3 * m, c[-1] + 1)))
+        if c[0] <= c[-1] + 1:
+            return from_kupisch(Kind.CYCLIC, c)
+
+
+def test_ext_table_on_long_modules():
+    rng = random.Random(9)
+    kmax = 3
+    for _ in range(12):
+        algebra = _long_cyclic(rng, rng.randint(1, 5))
+        ground = indecomposables(algebra)
+        table = ext_table(algebra, kmax)
+        for x, mx in enumerate(ground):
+            for y, my in enumerate(ground):
+                dims = ext_dims_upto(algebra, mx, my, kmax)
+                bits = tuple(table[k][x] >> y & 1 for k in range(kmax))
+                assert bits == tuple(int(d != 0) for d in dims), (algebra, mx, my)
 
 
 def test_ar_quiver_fixtures(lam_a, lam_b):

@@ -1,5 +1,6 @@
 import pytest
 
+import nakct.modules
 from nakct import (
     GroundSetTooLarge,
     Indec,
@@ -7,6 +8,7 @@ from nakct import (
     InvalidSubcategory,
     Kind,
     ZERO,
+    classify_nz,
     enumerate_ct,
     from_kupisch,
     homogeneous,
@@ -206,3 +208,23 @@ def test_acyclic_uniqueness():
             assert len(subs) <= 1
             if subs:
                 assert subs[0] == tau_n_closure(algebra, n)
+
+
+def test_cluster_tilting_makes_no_hom_calls(monkeypatch, lam_a, lam_b, glued15, lam_c):
+    calls = [0]
+    hom_dim = nakct.modules.hom_dim
+
+    def counted(*args):
+        calls[0] += 1
+        return hom_dim(*args)
+
+    monkeypatch.setattr(nakct.modules, "hom_dim", counted)
+    for algebra in (lam_a, lam_b, glued15, lam_c):
+        for n in (2, 3, 4):
+            classify_nz(algebra, n)
+            verify_ct(algebra, tau_n_closure(algebra, n), n)
+            enumerate_ct(algebra, n, "nZ")
+            enumerate_ct(algebra, n, "n")
+    assert calls[0] == 0
+    nakct.modules.ext_dim(lam_a, Indec(3, 4), Indec(2, 3), 1)
+    assert calls[0] == 3  # the counter does see the dimension path
