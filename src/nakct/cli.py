@@ -187,72 +187,96 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameter(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_N = _arg("--n", type=int, required=True)
+_MODE = _arg("--mode", choices=("n", "nZ"), default="nZ")
+_RENDER = _arg("--render", choices=("dot", "tikz", "ascii"), default=None)
+_ALGEBRA = _arg("algebra", nargs="?", default="-")
+
+# (name, handler, help, arguments) of every subcommand, in --help order
+COMMANDS = (
+    ("classify", cmd_classify, "decide nZ-cluster tilting existence", (_N, _ALGEBRA)),
+    (
+        "enumerate",
+        cmd_enumerate,
+        "brute-force all (n|nZ)-cluster tilting subcategories",
+        (_N, _MODE, _arg("--max-ground-set", type=int, default=None), _ALGEBRA),
+    ),
+    (
+        "verify",
+        cmd_verify,
+        "verify a candidate subcategory",
+        (
+            _N,
+            _MODE,
+            _arg("--subcat", required=True, help="JSON file with {\"members\": [[i,j],...]}"),
+            _ALGEBRA,
+        ),
+    ),
+    (
+        "ext",
+        cmd_ext,
+        "Hom and Ext dimensions between two indecomposables",
+        (
+            _arg("--x", required=True, help="source module as 'i,j'"),
+            _arg("--y", required=True, help="target module as 'i,j'"),
+            _arg("--k", type=int, default=None),
+            _arg("--max-k", type=int, default=4),
+            _ALGEBRA,
+        ),
+    ),
+    (
+        "ar-quiver",
+        cmd_ar_quiver,
+        "the Auslander-Reiten quiver",
+        (
+            _RENDER,
+            _arg("--highlight", default=None, help="subcategory JSON to box"),
+            _arg("--circle", default=None, help="module set JSON to circle"),
+            _ALGEBRA,
+        ),
+    ),
+    ("resolution-quiver", cmd_resolution_quiver, "the resolution quiver", (_RENDER, _ALGEBRA)),
+    ("singularity", cmd_singularity, "singularity-category model data", (_N, _ALGEBRA)),
+    ("glue", cmd_glue, "glue two acyclic algebras", (_arg("first"), _arg("second"))),
+    ("self-glue", cmd_self_glue, "self-glue an acyclic algebra", (_ALGEBRA,)),
+    ("gldim", cmd_gldim, "global dimension", (_ALGEBRA,)),
+)
+_NAMES = frozenset(name for name, *_ in COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the named subcommand only, or (for None or any other
+    word) of all of them.
+
+    An argv that starts with that name parses the same either way; building
+    one subparser instead of ten is most of a small command's start-up.
+    """
+    if command not in _NAMES:
+        command = None
     parser = _Parser(
         prog="nakct",
         description="Exact computations over Nakayama algebras: AR quivers, "
         "Ext groups, cluster-tilting subcategories, singularity models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, func, help_text, arguments in COMMANDS:
+        if command is not None and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        return p
-
-    p = add("classify", cmd_classify, help="decide nZ-cluster tilting existence")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("algebra", nargs="?", default="-")
-
-    p = add("enumerate", cmd_enumerate, help="brute-force all (n|nZ)-cluster tilting subcategories")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("n", "nZ"), default="nZ")
-    p.add_argument("--max-ground-set", type=int, default=None)
-    p.add_argument("algebra", nargs="?", default="-")
-
-    p = add("verify", cmd_verify, help="verify a candidate subcategory")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("n", "nZ"), default="nZ")
-    p.add_argument("--subcat", required=True, help="JSON file with {\"members\": [[i,j],...]}")
-    p.add_argument("algebra", nargs="?", default="-")
-
-    p = add("ext", cmd_ext, help="Hom and Ext dimensions between two indecomposables")
-    p.add_argument("--x", required=True, help="source module as 'i,j'")
-    p.add_argument("--y", required=True, help="target module as 'i,j'")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--max-k", type=int, default=4)
-    p.add_argument("algebra", nargs="?", default="-")
-
-    p = add("ar-quiver", cmd_ar_quiver, help="the Auslander-Reiten quiver")
-    p.add_argument("--render", choices=("dot", "tikz", "ascii"), default=None)
-    p.add_argument("--highlight", default=None, help="subcategory JSON to box")
-    p.add_argument("--circle", default=None, help="module set JSON to circle")
-    p.add_argument("algebra", nargs="?", default="-")
-
-    p = add("resolution-quiver", cmd_resolution_quiver, help="the resolution quiver")
-    p.add_argument("--render", choices=("dot", "tikz", "ascii"), default=None)
-    p.add_argument("algebra", nargs="?", default="-")
-
-    p = add("singularity", cmd_singularity, help="singularity-category model data")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("algebra", nargs="?", default="-")
-
-    p = add("glue", cmd_glue, help="glue two acyclic algebras")
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = add("self-glue", cmd_self_glue, help="self-glue an acyclic algebra")
-    p.add_argument("algebra", nargs="?", default="-")
-
-    p = add("gldim", cmd_gldim, help="global dimension")
-    p.add_argument("algebra", nargs="?", default="-")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except GroundSetTooLarge as exc:
         sys.stderr.write(json.dumps({"error": "GroundSetTooLarge", "reason": str(exc)}) + "\n")

@@ -5,7 +5,9 @@ subcategory F of indecomposables whose top and tau-socle lie on cycles of
 the resolution quiver: its stable category is equivalent to the stable
 module category of a radical-square-zero cyclic algebra Gamma on r*n
 vertices.  No complexes and no localization appear anywhere; everything is
-finite bookkeeping over the block decomposition.
+finite bookkeeping over the block decomposition.  Gamma's cluster-tilting
+subcategories come from the closed form of ``classify_nz``; the brute-force
+enumeration they must equal is run by the tests, not here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .algebra import Algebra, Kind, cut_points, homogeneous, unglue
+from .algebra import Algebra, Kind, cut_points, homogeneous
 from .classify import Case, Decomposition, classify_nz
 from .errors import (
     FiniteGlobalDimension,
@@ -32,7 +34,6 @@ from .modules import (
     is_projective,
     projectives,
 )
-from .tilting import enumerate_ct, subcategory_key
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,10 @@ def _blocks(algebra: Algebra, n: int | None) -> tuple[Decomposition, int]:
 
 def _candidate_n(algebra: Algebra) -> set[int]:
     """Possible n read off the first deep homogeneous run of each ungluing."""
+    k = algebra.kupisch
     out = set()
     for p in sorted(cut_points(algebra)):
-        c = unglue(algebra, p).kupisch
+        c = (1,) + k[p:] + k[:p]  # the Kupisch series of unglue(algebra, p)
         m = len(c)
         s = 1
         while s < m:
@@ -223,13 +225,25 @@ def gamma(algebra: Algebra, n: int) -> GammaPresentation:
             base = piece.start + i * l
             enum[offset + 2 * i] = canonical(algebra, base, base + l - 1)
             enum[offset + 2 * i + 1] = canonical(algebra, base + 1, base + l)
-    for a in range(total):
-        for b in range(total):
-            expected = 1 if b == a or b == (a + 1) % total else 0
-            if hom_dim(algebra, enum[a], enum[b]) != expected:
-                raise InternalError(
-                    f"hom adjacency law fails between P_{a} and P_{b}"
-                )
+    # The law: Hom(P_a, P_b) is 1 for b in {a, a+1} and 0 otherwise.  By the
+    # closed form of hom_dim, Hom(M(i,j), M(c,d)) = 0 unless c is congruent
+    # to a vertex of [i, j], so only the P_b with socle in P_a's span need a
+    # call; the expected partners must be among them.
+    by_socle: dict[int, list[int]] = {}
+    for b, target in enumerate(enum):
+        by_socle.setdefault(target.i, []).append(b)
+    m = algebra.m
+    for a, source in enumerate(enum):
+        expected = {a, (a + 1) % total}
+        near = {
+            b
+            for v in range(source.i, min(source.j, source.i + m - 1) + 1)
+            for b in by_socle.get(algebra.vertex(v), ())
+        }
+        for b in near | expected:
+            value = hom_dim(algebra, source, enum[b]) if b in near else 0
+            if value != (1 if b in expected else 0):
+                raise InternalError(f"hom adjacency law fails between P_{a} and P_{b}")
     return GammaPresentation(
         gamma=homogeneous(Kind.CYCLIC, total, 2),
         projectives_enum=tuple(enum),
@@ -283,39 +297,33 @@ class SingClusterTilting:
 
 def sing_ct(algebra: Algebra, n: int) -> SingClusterTilting:
     """Cluster tilting downstairs: how many nZ-cluster tilting subcategories
-    the stable category of Gamma carries (brute force is the ground truth),
-    which simples upstairs the distinguished one comes from, and where their
-    F-projective covers sit in the Gamma enumeration."""
+    the stable category of Gamma carries, which simples upstairs the
+    distinguished one comes from, and where their F-projective covers sit in
+    the Gamma enumeration.
+
+    Gamma's subcategories are the closed-form ones of ``classify_nz``, which
+    re-verifies each; the tests check them against brute-force enumeration.
+    """
     presentation = gamma(algebra, n)
-    blocks = presentation.blocks
+    pieces = presentation.blocks.pieces
     gm = presentation.gamma
 
-    constructed = classify_nz(gm, n)
-    brute = enumerate_ct(gm, n, "nZ", max_ground_set=max(64, sum(gm.kupisch)))
-    if sorted(map(subcategory_key, constructed.subcategories)) != sorted(
-        map(subcategory_key, brute)
-    ):
-        raise InternalError("constructed and enumerated Gamma subcategories differ")
     gamma_projectives = projectives(gm)
-    stable = {frozenset(s - gamma_projectives) for s in brute}
-    count = len(stable)
+    stable = {frozenset(s - gamma_projectives) for s in classify_nz(gm, n).subcategories}
+    distinguished = frozenset(piece.start for piece in pieces)
 
-    starts = [piece.start for piece in blocks.pieces]
-    distinguished = frozenset(starts)
-
-    total = len(presentation.projectives_enum)
+    enum = presentation.projectives_enum
+    index = {p: a for a, p in enumerate(enum)}
+    if len(index) != len(enum):
+        raise InternalError("the Gamma enumeration repeats a projective")
     gamma_indices = set()
-    pieces = blocks.pieces
     for k, piece in enumerate(pieces):
         prev = pieces[k - 1]
         cover = canonical(algebra, piece.start - prev.loewy + 1, piece.start)
-        matches = [
-            a for a, p in enumerate(presentation.projectives_enum) if p == cover
-        ]
-        if len(matches) != 1:
-            raise InternalError(f"cover of simple at {piece.start} not unique in enum")
-        gamma_indices.add(matches[0] % total)
-    return SingClusterTilting(count, distinguished, frozenset(gamma_indices))
+        if cover not in index:
+            raise InternalError(f"cover of simple at {piece.start} not in enum")
+        gamma_indices.add(index[cover])
+    return SingClusterTilting(len(stable), distinguished, frozenset(gamma_indices))
 
 
 def gorenstein_witness(algebra: Algebra, n: int | None = None) -> Indec:

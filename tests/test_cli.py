@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nakct.cli import run
+from nakct.cli import COMMANDS, build_parser, run
+from nakct.errors import InvalidParameter
 
 
 @pytest.fixture()
@@ -239,3 +245,132 @@ def test_determinism_in_process(files, capsys):
         _, first, _ = _run(capsys, argv)
         _, second, _ = _run(capsys, argv)
         assert first == second
+
+
+def _parse_outcome(parser, argv):
+    """What parsing argv does: a Namespace, an error message, or an exit with
+    the text printed on the way out."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            return ("namespace", parser.parse_args(argv))
+    except InvalidParameter as exc:
+        return ("error", str(exc))
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue())
+
+
+def test_single_subparser_parses_like_the_full_parser():
+    names = [name for name, *_ in COMMANDS]
+    corpus = [
+        [],
+        ["bogus"],
+        ["bogus", "--n", "2"],
+        ["--help"],
+        ["-h"],
+        ["-h", "classify"],
+        ["classify", "--n", "4", "a.json"],
+        ["classify", "--n", "4"],
+        ["classify", "a.json"],
+        ["classify", "--n", "x", "a.json"],
+        ["classify", "--n", "4", "a.json", "extra"],
+        ["classify", "--m", "4"],
+        ["enumerate", "--n", "2", "--mode", "n", "--max-ground-set", "80", "a.json"],
+        ["enumerate", "--n", "2", "--mode", "q", "a.json"],
+        ["enumerate", "--n", "2", "--max-ground-set", "many"],
+        ["verify", "--n", "4", "--subcat", "s.json", "a.json"],
+        ["verify", "--n", "4", "a.json"],
+        ["verify", "--n", "4", "--mode", "nZ", "--subcat", "s.json", "-"],
+        ["ext", "--x", "1,2", "--y", "2,3", "--k", "1", "a.json"],
+        ["ext", "--x", "1,2", "--y", "2,3", "--max-k", "9"],
+        ["ext", "--x", "1,2"],
+        ["ar-quiver", "--render", "dot", "--highlight", "s.json", "--circle", "c.json", "a.json"],
+        ["ar-quiver", "--render", "svg"],
+        ["resolution-quiver", "--render", "ascii", "a.json"],
+        ["resolution-quiver"],
+        ["singularity", "--n", "4", "a.json"],
+        ["singularity", "--n"],
+        ["glue", "a.json", "b.json"],
+        ["glue", "a.json"],
+        ["self-glue", "a.json"],
+        ["gldim"],
+        ["gldim", "a.json", "b.json"],
+    ]
+    corpus += [[name, "--help"] for name in names]
+    corpus += [[name, "-h", "--n", "2"] for name in names]
+    for argv in corpus:
+        full = _parse_outcome(build_parser(), argv)
+        single = _parse_outcome(build_parser(argv[0] if argv else None), argv)
+        assert full == single, argv
+    # and it holds only the named subcommand
+    assert "{gldim}" in build_parser("gldim").format_usage()
+    assert "{" + ",".join(names) + "}" in build_parser("bogus").format_usage()
+
+
+_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(["acyclic", "cyclic", "other"]),
+            "kupisch": st.lists(st.integers(-1, 6), max_size=6),
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(["acyclic", "cyclic"]),
+            "homogeneous": st.fixed_dictionaries(
+                {"m": st.integers(-1, 8), "l": st.integers(-1, 6)}
+            ),
+        }
+    ),
+    st.fixed_dictionaries(
+        {"members": st.lists(st.lists(st.integers(-2, 8), max_size=3), max_size=6)}
+    ),
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-2, 9) | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6,
+    ),
+)
+_TOKENS = st.one_of(
+    st.sampled_from(
+        ["--n", "--mode", "--k", "--max-k", "--max-ground-set", "--x", "--y", "--subcat",
+         "--render", "--highlight", "--circle", "-h", "-", "--", "n", "nZ", "q", "dot",
+         "ascii", "tikz", "1,2", "2,1", "0,0", "x", "@0", "@1", "@missing"]
+    ),
+    st.integers(-2, 7).map(str),
+)
+_COMMAND_WORDS = [name for name, *_ in COMMANDS] + ["bogus"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(_COMMAND_WORDS),
+    tokens=st.lists(_TOKENS, max_size=7),
+    docs=st.lists(_DOCS, min_size=2, max_size=2),
+)
+def test_run_on_arbitrary_argv_and_small_json(command, tokens, docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for idx, doc in enumerate(docs):
+            path = Path(tmp) / f"doc{idx}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            paths[f"@{idx}"] = str(path)
+        paths["@missing"] = str(Path(tmp) / "missing.json")
+        argv = [command] + [paths.get(token, token) for token in tokens]
+        out, err = io.StringIO(), io.StringIO()
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(json.dumps(docs[0]))
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:  # --help
+                    code = exc.code
+        finally:
+            sys.stdin = stdin
+    assert code in (0, 1, 2, 3), argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1, (argv, lines)
+    assert "Traceback" not in err.getvalue()
+    if lines:
+        assert code in (2, 3) and set(json.loads(lines[0])) == {"error", "reason"}

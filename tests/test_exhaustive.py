@@ -99,3 +99,22 @@ def test_classify_matches_enumeration_exhaustively():
             pairs += 1
             positive += result.exists
     assert (pairs, positive) == (3160, 49)
+
+
+def test_candidate_n_covers_every_self_glued_n():
+    # _candidate_n reads the unglued series off the rotation instead of
+    # building each ungluing; it must still propose every n that classifies
+    from nakct import Case, cut_points, unglue
+    from nakct.singularity import _candidate_n
+
+    positive = 0
+    for c in kupisch_series(TOTAL)[1]:
+        algebra = from_kupisch(Kind.CYCLIC, c)
+        for p in cut_points(algebra):
+            assert (1,) + c[p:] + c[:p] == unglue(algebra, p).kupisch
+        candidates = _candidate_n(algebra)
+        for n in range(2, TOTAL + 1):
+            if classify_nz(algebra, n).case is Case.CYCLIC_SELF_GLUED:
+                assert n in candidates, (algebra, n)
+                positive += 1
+    assert positive == 10

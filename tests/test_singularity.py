@@ -1,5 +1,11 @@
+import ast
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
+import nakct
 from nakct import (
     FiniteGlobalDimension,
     Indec,
@@ -7,7 +13,9 @@ from nakct import (
     KindMismatch,
     NotInClassifiedCase,
     canonical,
+    classify_nz,
     cyclic_simples,
+    enumerate_ct,
     f_objects,
     from_kupisch,
     gamma,
@@ -17,6 +25,7 @@ from nakct import (
     homogeneous,
     is_injective,
     is_projective,
+    matrix_hom_dim,
     omega,
     resolution_quiver,
     self_glue,
@@ -24,6 +33,9 @@ from nakct import (
     sing_ct,
     sing_image,
 )
+from nakct.algebra import to_json_dict
+from nakct.cli import run
+from nakct.tilting import subcategory_key
 
 
 def test_resolution_quiver_lam_c(lam_c):
@@ -232,3 +244,98 @@ def test_congruence_criterion_matches_sigma_cycles(lam_c):
             if offset in (0, piece.loewy - 1):
                 by_congruence.add(lam_c.vertex(i))
     assert by_congruence == result
+
+
+def _self_glued_chain(blocks):
+    """Self-gluing of `blocks` copies of the (7,3)+(9,2) gluing."""
+    block = glue(homogeneous(Kind.ACYCLIC, 7, 3), homogeneous(Kind.ACYCLIC, 9, 2))
+    chain = block
+    for _ in range(blocks - 1):
+        chain = glue(chain, block)
+    return self_glue(chain)
+
+
+def _classified_fixtures(lam_c):
+    """Self-glued algebras the singularity model covers at n = 4."""
+    other = self_glue(glue(homogeneous(Kind.ACYCLIC, 9, 2), homogeneous(Kind.ACYCLIC, 7, 3)))
+    return [lam_c, other, _self_glued_chain(2)]
+
+
+def test_gamma_constructions_match_brute_force(lam_c):
+    # the cross-check sing_ct ran before it took classify_nz's answer alone
+    cases = [(gamma(algebra, 4).gamma, 4) for algebra in _classified_fixtures(lam_c)]
+    cases += [
+        (homogeneous(Kind.CYCLIC, m, 2), n)
+        for m in range(2, 13)
+        for n in range(2, m + 1)
+        if m % n == 0
+    ]
+    assert len(cases) == 26
+    for gm, n in cases:
+        constructed = sorted(map(subcategory_key, classify_nz(gm, n).subcategories))
+        assert constructed == sorted(map(subcategory_key, enumerate_ct(gm, n, "nZ"))), (gm, n)
+        assert len(constructed) == n
+
+
+def test_gamma_adjacency_against_matrix_oracle(lam_c):
+    # gamma checks only the pairs the closed form can make nonzero; here
+    # every pair is checked, against the independent matrix computation
+    for algebra in [lam_c] + [_self_glued_chain(k) for k in (2, 3, 4)]:
+        enum = gamma(algebra, 4).projectives_enum
+        total = len(enum)
+        for a, source in enumerate(enum):
+            for b, target in enumerate(enum):
+                expected = 1 if b in (a, (a + 1) % total) else 0
+                assert matrix_hom_dim(algebra, source, target) == expected, (algebra, a, b)
+
+
+def test_singularity_module_does_not_enumerate():
+    source = (Path(nakct.__file__).parent / "singularity.py").read_text(encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert "enumerate_ct" not in names
+
+
+def _write_algebra(path, algebra):
+    path.write_text(json.dumps(to_json_dict(algebra)), encoding="utf-8")
+    return str(path)
+
+
+def test_singularity_command_makes_no_enumerate_calls(monkeypatch, tmp_path, capsys, lam_c):
+    calls = [0]
+    original = nakct.tilting.enumerate_ct
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    # rebind every name the package holds for it, as a tracer would
+    for name, module in list(sys.modules.items()):
+        if name == "nakct" or name.startswith("nakct."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    for idx, algebra in enumerate(_classified_fixtures(lam_c)):
+        path = _write_algebra(tmp_path / f"algebra{idx}.json", algebra)
+        assert run(["singularity", "--n", "4", path]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 4
+    assert calls[0] == 0
+    nakct.tilting.enumerate_ct(homogeneous(Kind.CYCLIC, 4, 2), 2)
+    assert calls[0] == 1  # the counter does see a call
+
+
+def test_singularity_command_scales_past_brute_force(tmp_path, capsys):
+    # 56 vertices and twelve pieces, so Gamma has 48 vertices; brute force
+    # over its 96 indecomposables took seconds, the closed form milliseconds
+    path = _write_algebra(tmp_path / "chain4.json", _self_glued_chain(4))
+    assert run(["singularity", "--n", "4", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == 4
+    assert len(payload["pieces"]) == 12
+    assert payload["gamma"] == {"kind": "cyclic", "kupisch": [2] * 48}
