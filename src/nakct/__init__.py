@@ -78,6 +78,7 @@ from .singularity import (
     gorenstein_witness,
     resolution_quiver,
     sing_ct,
+    sing_ct_of,
     sing_image,
 )
 from .tilting import (

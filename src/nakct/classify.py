@@ -3,9 +3,20 @@
 Four families admit one: homogeneous algebras subject to arithmetic
 conditions on (m, l, n), and non-homogeneous algebras that decompose into
 (or self-glue from) homogeneous pieces of global dimension n.  In each
-admitting case the subcategories are written down explicitly and re-verified
-before being returned; the brute-force enumerator is the ground truth the
-decision procedure is tested against, never a fallback.
+admitting case the subcategories are written down explicitly and verified
+once, on the algebra they are returned for; the brute-force enumerator is
+the ground truth the decision procedure is tested against, never a fallback.
+
+A glued algebra's subcategory is the union of its pieces' homogeneous ones,
+shifted into place.  A self-glued cyclic algebra is unglued at a cut point
+and the acyclic result classified.  The first cut point tried starts a deep
+ramp (c_{p+1} = 2, c_{p+2} >= 3).  Every such point of a positive algebra
+is the start of a deep piece, and ungluing at a piece start parses into the
+same pieces, so there one ungluing answers; the first positive ungluing is
+returned as the certificate that ``classify_nz`` verifies.  A negative
+verdict has no certificate, so it is reached only after every distinct
+ungluing has been classified and, where ``decompose`` fails, cross-checked
+against the tau_n-closure of the projectives.
 """
 
 from __future__ import annotations
@@ -14,10 +25,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .algebra import Algebra, Kind, _kind, cut_points, is_homogeneous, unglue
+from .algebra import Algebra, Kind, _kind, cut_points, homogeneous, is_homogeneous, unglue
 from .errors import InternalError, InvalidParameter, KindMismatch
 from .modules import Indec, canonical, injectives, projectives, simple
-from .tilting import ct_failures, subcategory_key, tau_n_closure, verify_ct
+from .tilting import ct_failures, tau_n_closure, verify_ct
 
 
 class Case(enum.Enum):
@@ -153,66 +164,108 @@ def _classify_homogeneous(algebra: Algebra, n: int, l: int) -> ClassificationRes
     return ClassificationResult(False, Case.NONE, None, ())
 
 
+def _glued_members(algebra: Algebra, n: int, pieces) -> frozenset[Indec]:
+    """The union over pieces of each homogeneous piece's subcategory, moved
+    from the piece's own vertices 1..end-start+1 to start..end."""
+    local: dict[tuple[int, int], frozenset[Indec]] = {}
+    members = set()
+    for piece in pieces:
+        shape = (piece.end - piece.start + 1, piece.loewy)
+        if shape not in local:
+            block = homogeneous(Kind.ACYCLIC, *shape)
+            if piece.loewy == 2:
+                local[shape] = _acyclic_radsq_members(block, n)
+            else:
+                local[shape] = frozenset(projectives(block) | injectives(block))
+        shift = piece.start - 1
+        members.update(Indec(x.i + shift, x.j + shift) for x in local[shape])
+    return frozenset(members)
+
+
 def _classify_acyclic_glued(algebra: Algebra, n: int) -> ClassificationResult:
     # decompose decides; a failed parse is cross-checked here (one failure
-    # suffices) and a successful one by classify_nz's re-verification
+    # suffices) and a successful one by classify_nz's verification
     decomposition = decompose(algebra, n)
-    candidate = tau_n_closure(algebra, n)
     if decomposition is None:
+        candidate = tau_n_closure(algebra, n)
         if next(ct_failures(algebra, candidate, n, "nZ"), None) is None:
             raise InternalError(
                 f"tau_n-closure verification and decomposition disagree on {algebra}, n={n}"
             )
         return ClassificationResult(False, Case.NONE, None, ())
-    return ClassificationResult(True, Case.ACYCLIC_GLUED, decomposition, (candidate,))
+    members = _glued_members(algebra, n, decomposition.pieces)
+    return ClassificationResult(True, Case.ACYCLIC_GLUED, decomposition, (members,))
+
+
+def _classify_unverified(algebra: Algebra, n: int) -> ClassificationResult:
+    """classify_nz without the verification of what it constructs."""
+    spec = is_homogeneous(algebra)
+    if spec is not None:
+        return _classify_homogeneous(algebra, n, spec.l)
+    if algebra.kind is Kind.ACYCLIC:
+        return _classify_acyclic_glued(algebra, n)
+    return _classify_cyclic_selfglued(algebra, n)
+
+
+def _ungluing_order(algebra: Algebra) -> list[int]:
+    """The cut points, the first deep-ramp one (c_{p+1} = 2, c_{p+2} >= 3)
+    moved to the front."""
+    c = algebra.kupisch
+    points = sorted(cut_points(algebra))
+    deep = next((p for p in points if c[(p + 1) % algebra.m] >= 3), None)
+    if deep is not None:
+        points.remove(deep)
+        points.insert(0, deep)
+    return points
+
+
+def _rotation_period(c: tuple[int, ...]) -> int:
+    """The least d > 0 such that rotating c by d gives c; it divides len(c)."""
+    m = len(c)
+    return next(d for d in range(1, m + 1) if m % d == 0 and c[d:] + c[:d] == c)
 
 
 def _classify_cyclic_selfglued(algebra: Algebra, n: int) -> ClassificationResult:
+    # Deep-ramp cut point first, and the first positive ungluing is the
+    # answer (classify_nz verifies it on this algebra).  A negative verdict
+    # classifies every distinct ungluing: with no certificate to verify, it
+    # must not rest on the deep-ramp point alone.
+    #
+    # unglue(algebra, p) has the series (1,) + c[p:] + c[:p], so two cut
+    # points give the same ungluing exactly when they differ by a multiple
+    # of the rotation period of c.
     m = algebra.m
-    found: list[tuple[frozenset[Indec], Decomposition]] = []
-    seen_acyclic: set[tuple[int, ...]] = set()
-    for p in sorted(cut_points(algebra)):
-        unglued = unglue(algebra, p)
-        if unglued.kupisch in seen_acyclic:
+    period = _rotation_period(algebra.kupisch)
+    seen: set[int] = set()
+    for p in _ungluing_order(algebra):
+        if p % period in seen:
             continue
-        seen_acyclic.add(unglued.kupisch)
-        sub = classify_nz(unglued, n)
+        seen.add(p % period)
+        sub = _classify_unverified(unglue(algebra, p), n)
         if not sub.exists:
             continue
         (members,) = sub.subcategories
         shifted = frozenset(
             canonical(algebra, x.i + p - 1, x.j + p - 1) for x in members
         )
-        # piece starts land in 1..m; ends stay un-reduced so that
+        # piece starts land in 1..m and are listed in increasing order, the
+        # same for every rotation and cut point; ends stay un-reduced so that
         # consecutive pieces visibly share endpoints around the cycle
         pieces = []
         for piece in sub.decomposition.pieces:
             start = (piece.start + p - 2) % m + 1
             pieces.append(Piece(start, start + piece.end - piece.start, piece.loewy))
-        pieces = tuple(pieces)
-        found.append((shifted, Decomposition(pieces, self_glued=True)))
-    if not found:
-        return ClassificationResult(False, Case.NONE, None, ())
-    distinct = {subcategory_key(members) for members, _ in found}
-    if len(distinct) > 1:
-        raise InternalError(
-            f"distinct ungluings of {algebra} induced different subcategories"
-        )
-    members, decomposition = found[0]
-    return ClassificationResult(True, Case.CYCLIC_SELF_GLUED, decomposition, (members,))
+        pieces.sort(key=lambda piece: piece.start)
+        decomposition = Decomposition(tuple(pieces), self_glued=True)
+        return ClassificationResult(True, Case.CYCLIC_SELF_GLUED, decomposition, (shifted,))
+    return ClassificationResult(False, Case.NONE, None, ())
 
 
 def classify_nz(algebra: Algebra, n: int) -> ClassificationResult:
     """Decide existence of nZ-cluster tilting subcategories and construct them."""
     if n < 2:
         raise InvalidParameter("cluster tilting needs n >= 2")
-    spec = is_homogeneous(algebra)
-    if spec is not None:
-        result = _classify_homogeneous(algebra, n, spec.l)
-    elif algebra.kind is Kind.ACYCLIC:
-        result = _classify_acyclic_glued(algebra, n)
-    else:
-        result = _classify_cyclic_selfglued(algebra, n)
+    result = _classify_unverified(algebra, n)
     for members in result.subcategories:
         if not verify_ct(algebra, members, n, "nZ").verdict:
             raise InternalError(

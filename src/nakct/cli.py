@@ -139,7 +139,7 @@ def cmd_singularity(args) -> int:
     algebra = _load_algebra(args.algebra)
     presentation = sing.gamma(algebra, args.n)
     fcat = sing.f_objects(algebra, args.n)
-    record = sing.sing_ct(algebra, args.n)
+    record = sing.sing_ct_of(algebra, presentation)
     witness = sing.gorenstein_witness(algebra, args.n)
     quiver = sing.resolution_quiver(algebra)
     _emit(

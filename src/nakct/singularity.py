@@ -304,7 +304,12 @@ def sing_ct(algebra: Algebra, n: int) -> SingClusterTilting:
     Gamma's subcategories are the closed-form ones of ``classify_nz``, which
     re-verifies each; the tests check them against brute-force enumeration.
     """
-    presentation = gamma(algebra, n)
+    return sing_ct_of(algebra, gamma(algebra, n))
+
+
+def sing_ct_of(algebra: Algebra, presentation: GammaPresentation) -> SingClusterTilting:
+    """``sing_ct`` from a presentation of Gamma already built for algebra."""
+    n = presentation.n
     pieces = presentation.blocks.pieces
     gm = presentation.gamma
 

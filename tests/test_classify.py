@@ -8,8 +8,10 @@ from nakct import (
     KindMismatch,
     admits_homog_nct,
     classify_nz,
+    cut_points,
     decompose,
     enumerate_ct,
+    from_kupisch,
     glue,
     homogeneous,
     is_homogeneous,
@@ -176,3 +178,54 @@ def test_forced_boundary_simples(lam_c):
         assert boundary in members
         assert not is_projective(lam_c, boundary)
         assert not is_injective(lam_c, boundary)
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls classify makes to each of its imported names."""
+    import nakct.classify
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(nakct.classify, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(nakct.classify, name, counted)
+    return calls
+
+
+def _rotations(algebra):
+    c = algebra.kupisch
+    return [from_kupisch(Kind.CYCLIC, c[s:] + c[:s]) for s in range(len(c))]
+
+
+def _four_block_chain(glued15):
+    """The self-gluing of four copies of glued15, 56 vertices."""
+    return self_glue(glue(glue(glue(glued15, glued15), glued15), glued15))
+
+
+def test_positive_self_glued_ungluings_once(monkeypatch, lam_c, glued15):
+    # the deep-ramp cut point comes first and its ungluing is the answer;
+    # only the cyclic algebra's subcategory is verified
+    calls = _count_calls(monkeypatch, ("unglue", "tau_n_closure", "verify_ct"))
+    for algebra in _rotations(lam_c) + [_four_block_chain(glued15)]:
+        calls.update(dict.fromkeys(calls, 0))
+        assert classify_nz(algebra, 4).case is Case.CYCLIC_SELF_GLUED
+        assert calls == {"unglue": 1, "tau_n_closure": 0, "verify_ct": 1}, algebra
+
+
+def test_negative_self_glued_ungluings_each_series_once(monkeypatch, lam_b, lam_c, glued15):
+    # a negative verdict classifies every distinct ungluing, and builds
+    # each one once however many cut points give it
+    chain = _four_block_chain(glued15)
+    c = chain.kupisch
+    assert 4 * len({(1,) + c[p:] + c[:p] for p in cut_points(chain)}) == len(cut_points(chain))
+    calls = _count_calls(monkeypatch, ("unglue", "verify_ct"))
+    for algebra, n in ((lam_b, 2), (lam_b, 4), (lam_c, 2), (chain, 2), (chain, 6)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert not classify_nz(algebra, n).exists
+        c = algebra.kupisch
+        distinct = {(1,) + c[p:] + c[:p] for p in cut_points(algebra)}
+        assert calls == {"unglue": len(distinct), "verify_ct": 0}, (algebra, n)

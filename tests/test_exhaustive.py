@@ -118,3 +118,108 @@ def test_candidate_n_covers_every_self_glued_n():
                 assert n in candidates, (algebra, n)
                 positive += 1
     assert positive == 10
+
+
+def all_cut_points_selfglued(algebra, n):
+    """The self-glued classification that ungluing once replaced: every
+    distinct ungluing is classified, and the subcategories they induce must
+    agree."""
+    from nakct import Case, ClassificationResult, Decomposition, Piece, canonical
+    from nakct import cut_points, unglue
+
+    m = algebra.m
+    found = []
+    seen_acyclic = set()
+    for p in sorted(cut_points(algebra)):
+        unglued = unglue(algebra, p)
+        if unglued.kupisch in seen_acyclic:
+            continue
+        seen_acyclic.add(unglued.kupisch)
+        sub = classify_nz(unglued, n)
+        if not sub.exists:
+            continue
+        (members,) = sub.subcategories
+        shifted = frozenset(canonical(algebra, x.i + p - 1, x.j + p - 1) for x in members)
+        pieces = []
+        for piece in sub.decomposition.pieces:
+            start = (piece.start + p - 2) % m + 1
+            pieces.append(Piece(start, start + piece.end - piece.start, piece.loewy))
+        found.append((shifted, Decomposition(tuple(pieces), self_glued=True)))
+    if not found:
+        return ClassificationResult(False, Case.NONE, None, ())
+    distinct = {subcategory_key(members) for members, _ in found}
+    assert len(distinct) == 1, f"distinct ungluings of {algebra} induced different subcategories"
+    members, decomposition = found[0]
+    return ClassificationResult(True, Case.CYCLIC_SELF_GLUED, decomposition, (members,))
+
+
+def test_one_ungluing_matches_all_cut_points_on_every_rotation():
+    from nakct import is_homogeneous
+    from nakct.classify import result_to_json_dict
+
+    pairs = positive = 0
+    for c in kupisch_series(TOTAL)[1]:
+        for s in range(len(c)):
+            algebra = from_kupisch(Kind.CYCLIC, c[s:] + c[:s])
+            if is_homogeneous(algebra) is not None:
+                continue
+            for n in range(2, 7):
+                got = result_to_json_dict(classify_nz(algebra, n))
+                assert got == result_to_json_dict(all_cut_points_selfglued(algebra, n)), (algebra, n)
+                pairs += 1
+                positive += got["exists"]
+    assert (pairs, positive) == (6680, 59)
+
+
+# (n, Loewy lengths of its homogeneous blocks of global dimension n) for the
+# glued chains of the benchmark's ``glued`` workload, m = 15 to 57
+GLUED_CHAINS = (
+    (2, (3, 3, 3, 3, 2)),
+    (2, (4, 4, 3, 3)),
+    (2, (5, 4, 3, 2, 2)),
+    (2, (6, 5, 4, 3)),
+    (2, (4, 3, 3, 3, 3, 2, 2)),
+    (2, (5, 5, 4, 4, 3, 3)),
+    (4, (3, 2, 2)),
+    (4, (3, 3, 2)),
+    (4, (4, 3, 2)),
+    (4, (3, 3, 3, 2)),
+    (4, (4, 4, 3)),
+    (4, (5, 3, 3, 2)),
+    (6, (3, 2)),
+    (6, (3, 3)),
+    (6, (4, 3)),
+    (6, (4, 2, 2)),
+    (6, (4, 4, 3, 3)),
+    (4, (7, 7, 7, 7)),
+)
+
+
+def glued_chain(n, loewys):
+    from nakct import glue, homogeneous
+
+    blocks = [homogeneous(Kind.ACYCLIC, n * l // 2 + 1, l) for l in loewys]
+    chain = blocks[0]
+    for block in blocks[1:]:
+        chain = glue(chain, block)
+    return chain
+
+
+def test_glued_members_equal_tau_n_closure():
+    # the pieces' homogeneous subcategories, shifted into place, are the
+    # tau_n-closure of the projectives that classify_nz no longer computes
+    from nakct import Case, tau_n_closure
+
+    cases = [
+        (algebra, n)
+        for algebra in all_algebras(TOTAL)
+        if algebra.kind is Kind.ACYCLIC
+        for n in range(2, 7)
+        if classify_nz(algebra, n).case is Case.ACYCLIC_GLUED
+    ]
+    assert len(cases) == 8
+    cases += [(glued_chain(n, loewys), n) for n, loewys in GLUED_CHAINS]
+    for algebra, n in cases:
+        result = classify_nz(algebra, n)
+        assert result.case is Case.ACYCLIC_GLUED, (algebra, n)
+        assert result.subcategories == (tau_n_closure(algebra, n),), (algebra, n)

@@ -31,6 +31,7 @@ from nakct import (
     self_glue,
     simple,
     sing_ct,
+    sing_ct_of,
     sing_image,
 )
 from nakct.algebra import to_json_dict
@@ -339,3 +340,25 @@ def test_singularity_command_scales_past_brute_force(tmp_path, capsys):
     assert payload["count"] == 4
     assert len(payload["pieces"]) == 12
     assert payload["gamma"] == {"kind": "cyclic", "kupisch": [2] * 48}
+
+
+def test_singularity_command_builds_gamma_once(monkeypatch, tmp_path, capsys, lam_c):
+    calls = [0]
+    original = nakct.singularity.gamma
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nakct" or name.startswith("nakct."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    for idx, algebra in enumerate(_classified_fixtures(lam_c)):
+        calls[0] = 0
+        path = _write_algebra(tmp_path / f"algebra{idx}.json", algebra)
+        assert run(["singularity", "--n", "4", path]) == 0
+        capsys.readouterr()
+        assert calls[0] == 1, algebra
+        assert sing_ct(algebra, 4) == sing_ct_of(algebra, original(algebra, 4))
