@@ -78,7 +78,6 @@ from .singularity import (
     gorenstein_witness,
     resolution_quiver,
     sing_ct,
-    sing_ct_of,
     sing_image,
 )
 from .tilting import (

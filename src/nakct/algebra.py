@@ -94,9 +94,6 @@ class Algebra:
         """Whether the uniserial with socle i and top j is a module."""
         return i <= j and self.lmax(j) <= i
 
-    def max_loewy(self) -> int:
-        return max(self.kupisch)
-
     def __str__(self):
         return f"{self.kind.value}{list(self.kupisch)}"
 

@@ -80,38 +80,60 @@ def admits_homog_nct(kind: Kind | str, m: int, l: int, n: int) -> bool:
     return (2 * m) % d == 0 or (t * m) % d == 0
 
 
+def read_ramp(c: tuple[int, ...], s: int) -> int | None:
+    """The Loewy length l of a piece starting at vertex s, read off its ramp
+    c_{s+t} = t+1 for t < l, c_{s+l} = l; None if there is no such ramp."""
+    m = len(c)
+    t = 1
+    while s + t <= m and c[s + t - 1] == t + 1:
+        t += 1
+    if s + t > m or c[s + t - 1] != t:
+        return None
+    return t
+
+
+def read_plateau(c: tuple[int, ...], s: int, l: int, most: int) -> int:
+    """The largest run <= most with c_{s+u} = min(u+1, l) for u = 1..run,
+    given the ramp of Loewy length l at s (so run >= l)."""
+    m = len(c)
+    run = l
+    while run < most and s + run < m and c[s + run] == l:
+        run += 1
+    return run
+
+
+def deep_ramp_point(algebra: Algebra) -> int | None:
+    """The first cut point p of a cyclic algebra that starts a deep ramp
+    (c_{p+1} = 2, c_{p+2} >= 3), or None."""
+    c = algebra.kupisch
+    return next(
+        (p for p in sorted(cut_points(algebra)) if c[(p + 1) % algebra.m] >= 3), None
+    )
+
+
 def decompose(algebra: Algebra, n: int) -> Decomposition | None:
     """Parse an acyclic algebra into homogeneous pieces of global dimension n.
 
-    At each piece start the Loewy length is read off as the plateau value of
-    the Kupisch pattern c_{s+t} = min(t+1, l); the piece length is then
-    forced to n*l/2 and the pattern checked.  Runs of l = 2 are cut into
-    length-n pieces, which makes the parse canonical.  Returns None whenever
-    any step fails.
+    At each piece start the Loewy length is read off the ramp of the
+    Kupisch pattern c_{s+t} = min(t+1, l); the piece length is then forced
+    to n*l/2 and the plateau checked.  Runs of l = 2 are cut into length-n
+    pieces, which makes the parse canonical.  Returns None whenever any
+    step fails.
     """
     if algebra.kind is not Kind.ACYCLIC:
         raise KindMismatch("decompose applies to acyclic algebras")
     if n < 2:
         raise InvalidParameter("needs n >= 2")
     c = algebra.kupisch
-    m = algebra.m
     pieces = []
     s = 1
-    while s < m:
-        t = 1
-        while s + t <= m and c[s + t - 1] == t + 1:
-            t += 1
-        if s + t > m or c[s + t - 1] != t:
-            return None
-        l = t
-        if (n * l) % 2 or (l >= 3 and n % 2):
+    while s < algebra.m:
+        l = read_ramp(c, s)
+        if l is None or (n * l) % 2 or (l >= 3 and n % 2):
             return None
         length = n * l // 2
-        if s + length > m:
+        if read_plateau(c, s, l, length) < length:
             return None
-        for u in range(1, length + 1):
-            if c[s + u - 1] != min(u + 1, l):
-                return None
         pieces.append(Piece(s, s + length, l))
         s += length
     return Decomposition(tuple(pieces))
@@ -208,15 +230,9 @@ def _classify_unverified(algebra: Algebra, n: int) -> ClassificationResult:
 
 
 def _ungluing_order(algebra: Algebra) -> list[int]:
-    """The cut points, the first deep-ramp one (c_{p+1} = 2, c_{p+2} >= 3)
-    moved to the front."""
-    c = algebra.kupisch
-    points = sorted(cut_points(algebra))
-    deep = next((p for p in points if c[(p + 1) % algebra.m] >= 3), None)
-    if deep is not None:
-        points.remove(deep)
-        points.insert(0, deep)
-    return points
+    """The cut points in order, the first deep-ramp one moved to the front."""
+    deep = deep_ramp_point(algebra)
+    return sorted(cut_points(algebra), key=lambda p: (p != deep, p))
 
 
 def _rotation_period(c: tuple[int, ...]) -> int:

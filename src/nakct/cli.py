@@ -137,17 +137,17 @@ def cmd_resolution_quiver(args) -> int:
 
 def cmd_singularity(args) -> int:
     algebra = _load_algebra(args.algebra)
-    presentation = sing.gamma(algebra, args.n)
-    fcat = sing.f_objects(algebra, args.n)
-    record = sing.sing_ct_of(algebra, presentation)
-    witness = sing.gorenstein_witness(algebra, args.n)
+    model = sing.gamma(algebra, args.n)
+    fcat = sing.f_objects(algebra, model)
+    record = sing.sing_ct(model)
+    witness = sing.gorenstein_witness(model)
     quiver = sing.resolution_quiver(algebra)
     _emit(
         {
-            "gamma": alg.to_json_dict(presentation.gamma),
-            "gamma_projectives": [[p.i, p.j] for p in presentation.projectives_enum],
-            "block_offsets": list(presentation.block_offsets),
-            "pieces": [[p.start, p.end, p.loewy] for p in presentation.blocks.pieces],
+            "gamma": alg.to_json_dict(model.gamma),
+            "gamma_projectives": [[p.i, p.j] for p in model.projectives_enum],
+            "block_offsets": list(model.block_offsets),
+            "pieces": [[p.start, p.end, p.loewy] for p in model.blocks.pieces],
             "distinguished": sorted(record.distinguished_simple_indices),
             "gamma_indices": sorted(record.gamma_indices),
             "count": record.count,

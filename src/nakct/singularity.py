@@ -12,11 +12,10 @@ enumeration they must equal is run by the tests, not here.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .algebra import Algebra, Kind, cut_points, homogeneous
-from .classify import Case, Decomposition, classify_nz
+from .algebra import Algebra, Kind, homogeneous
+from .classify import Case, Decomposition, classify_nz, deep_ramp_point, read_plateau, read_ramp
 from .errors import (
     FiniteGlobalDimension,
     InternalError,
@@ -61,6 +60,10 @@ class FCategory:
 
 @dataclass(frozen=True)
 class GammaPresentation:
+    """One algebra's singularity model; ``gamma`` builds it, the other
+    singularity functions take it."""
+
+    algebra: Algebra
     gamma: Algebra
     projectives_enum: tuple[Indec, ...]
     block_offsets: tuple[int, ...]
@@ -112,59 +115,13 @@ def cyclic_simples(algebra: Algebra) -> set[int]:
     return on_cycle
 
 
-@functools.lru_cache(maxsize=64)
-def _blocks(algebra: Algebra, n: int | None) -> tuple[Decomposition, int]:
-    """Decomposition and n for a classified cyclic non-homogeneous algebra.
-
-    Memoized, so that the parts of one singularity query classify the
-    algebra once between them.
-    """
-    if algebra.kind is not Kind.CYCLIC:
-        raise NotInClassifiedCase("need a cyclic algebra")
-    candidates = [n] if n is not None else sorted(_candidate_n(algebra))
-    for cand in candidates:
-        result = classify_nz(algebra, cand)
-        if result.case is Case.CYCLIC_SELF_GLUED:
-            return result.decomposition, cand
-    raise NotInClassifiedCase(
-        f"{algebra} is not a classified self-glued algebra"
-        + (f" for n={n}" if n is not None else "")
-    )
-
-
-def _candidate_n(algebra: Algebra) -> set[int]:
-    """Possible n read off the first deep homogeneous run of each ungluing."""
-    k = algebra.kupisch
-    out = set()
-    for p in sorted(cut_points(algebra)):
-        c = (1,) + k[p:] + k[:p]  # the Kupisch series of unglue(algebra, p)
-        m = len(c)
-        s = 1
-        while s < m:
-            t = 1
-            while s + t <= m and c[s + t - 1] == t + 1:
-                t += 1
-            if s + t > m or c[s + t - 1] != t:
-                break
-            l = t
-            run = l - 1
-            while s + run + 1 <= m and c[s + run] == min(run + 2, l):
-                run += 1
-            if l >= 3:
-                if (2 * run) % l == 0 and 2 * run // l >= 2:
-                    out.add(2 * run // l)
-                break
-            s += run
-    return out
-
-
-def f_objects(algebra: Algebra, n: int | None = None) -> FCategory:
+def f_objects(algebra: Algebra, model: GammaPresentation | None = None) -> FCategory:
     """The Frobenius subcategory: top and tau-socle both cyclic simples.
 
-    For classified self-glued algebras the objects are also produced by the
-    four per-block families and the F-projectives are the two projective
-    families; outside the classified case only the definitional filter is
-    available and f_projectives stays absent.
+    Given the algebra's singularity model, the objects are also produced by
+    the four per-block families and the F-projectives are the two projective
+    families; without one only the definitional filter is applied and
+    f_projectives stays absent.
     """
     if algebra.kind is not Kind.CYCLIC:
         raise KindMismatch("the construction needs a cyclic algebra")
@@ -177,13 +134,10 @@ def f_objects(algebra: Algebra, n: int | None = None) -> FCategory:
         if algebra.vertex(module.j) in on_cycle
         and algebra.vertex(module.i - 1) in on_cycle
     )
-    try:
-        blocks, _ = _blocks(algebra, n)
-    except NotInClassifiedCase:
+    if model is None:
         return FCategory(objects, None)
-    families = _type_families(algebra, blocks)
-    from_types = frozenset().union(*families) if families else frozenset()
-    if from_types != objects:
+    families = _type_families(algebra, model.blocks)
+    if frozenset().union(*families) != objects:
         raise InternalError("type families disagree with the definitional filter")
     f_projectives = frozenset(families[2] | families[3])
     return FCategory(objects, f_projectives)
@@ -204,11 +158,40 @@ def _type_families(algebra: Algebra, blocks: Decomposition):
     return (simples_f, cosyzygies_f, long_proj, shifted_proj)
 
 
-def gamma(algebra: Algebra, n: int) -> GammaPresentation:
+def _inferred_n(algebra: Algebra) -> int | None:
+    """2*run/l for the first piece of the deep-ramp ungluing, or None."""
+    p = deep_ramp_point(algebra)
+    if p is None:
+        return None
+    k = algebra.kupisch
+    c = (1,) + k[p:] + k[:p]  # the Kupisch series of unglue(algebra, p)
+    l = read_ramp(c, 1)
+    if l is None:
+        return None
+    run = read_plateau(c, 1, l, len(c))
+    return None if (2 * run) % l else 2 * run // l
+
+
+def gamma(algebra: Algebra, n: int | None = None) -> GammaPresentation:
     """Presentation of the singularity category: a radical-square-zero
     cyclic algebra on r*n vertices whose projectives enumerate the
-    F-projectives block by block."""
-    blocks, n = _blocks(algebra, n)
+    F-projectives block by block.
+
+    The algebra is classified once.  Without n, n is read off the first
+    piece of the ungluing at the first deep-ramp cut point, which every
+    classified self-glued algebra has: that piece has length n*l/2.
+    """
+    if algebra.kind is not Kind.CYCLIC:
+        raise NotInClassifiedCase("need a cyclic algebra")
+    found = n if n is not None else _inferred_n(algebra)
+    result = classify_nz(algebra, found) if found is not None else None
+    if result is None or result.case is not Case.CYCLIC_SELF_GLUED:
+        raise NotInClassifiedCase(
+            f"{algebra} is not a classified self-glued algebra"
+            + (f" for n={n}" if n is not None else "")
+        )
+    n = found
+    blocks = result.decomposition
     pieces = blocks.pieces
     r = len(pieces)
     offsets = []
@@ -245,6 +228,7 @@ def gamma(algebra: Algebra, n: int) -> GammaPresentation:
             if value != (1 if b in expected else 0):
                 raise InternalError(f"hom adjacency law fails between P_{a} and P_{b}")
     return GammaPresentation(
+        algebra=algebra,
         gamma=homogeneous(Kind.CYCLIC, total, 2),
         projectives_enum=tuple(enum),
         block_offsets=tuple(offsets),
@@ -268,12 +252,12 @@ def _locate_block(algebra: Algebra, blocks: Decomposition, module: Indec):
     raise InternalError(f"{module} not contained in any block")
 
 
-def sing_image(algebra: Algebra, module: Indec, n: int | None = None) -> SingImage:
+def sing_image(model: GammaPresentation, module: Indec) -> SingImage:
     """Image of a module under the canonical functor to the singularity
     category: zero, or identified with a canonical non-projective F-object
     via an inclusion or a projection."""
-    blocks, _ = _blocks(algebra, n)
-    piece, i, j = _locate_block(algebra, blocks, module)
+    algebra = model.algebra
+    piece, i, j = _locate_block(algebra, model.blocks, module)
     l = piece.loewy
     if j - i >= l - 1:
         return SingImage("Zero")
@@ -295,7 +279,7 @@ class SingClusterTilting:
     gamma_indices: frozenset[int]
 
 
-def sing_ct(algebra: Algebra, n: int) -> SingClusterTilting:
+def sing_ct(model: GammaPresentation) -> SingClusterTilting:
     """Cluster tilting downstairs: how many nZ-cluster tilting subcategories
     the stable category of Gamma carries, which simples upstairs the
     distinguished one comes from, and where their F-projective covers sit in
@@ -304,20 +288,15 @@ def sing_ct(algebra: Algebra, n: int) -> SingClusterTilting:
     Gamma's subcategories are the closed-form ones of ``classify_nz``, which
     re-verifies each; the tests check them against brute-force enumeration.
     """
-    return sing_ct_of(algebra, gamma(algebra, n))
-
-
-def sing_ct_of(algebra: Algebra, presentation: GammaPresentation) -> SingClusterTilting:
-    """``sing_ct`` from a presentation of Gamma already built for algebra."""
-    n = presentation.n
-    pieces = presentation.blocks.pieces
-    gm = presentation.gamma
+    algebra = model.algebra
+    pieces = model.blocks.pieces
+    gm = model.gamma
 
     gamma_projectives = projectives(gm)
-    stable = {frozenset(s - gamma_projectives) for s in classify_nz(gm, n).subcategories}
+    stable = {frozenset(s - gamma_projectives) for s in classify_nz(gm, model.n).subcategories}
     distinguished = frozenset(piece.start for piece in pieces)
 
-    enum = presentation.projectives_enum
+    enum = model.projectives_enum
     index = {p: a for a, p in enumerate(enum)}
     if len(index) != len(enum):
         raise InternalError("the Gamma enumeration repeats a projective")
@@ -331,16 +310,16 @@ def sing_ct_of(algebra: Algebra, presentation: GammaPresentation) -> SingCluster
     return SingClusterTilting(len(stable), distinguished, frozenset(gamma_indices))
 
 
-def gorenstein_witness(algebra: Algebra, n: int | None = None) -> Indec:
+def gorenstein_witness(model: GammaPresentation) -> Indec:
     """An injective non-projective module that stays nonzero downstairs,
     witnessing failure of the Iwanaga-Gorenstein property."""
-    blocks, n = _blocks(algebra, n)
-    for piece in blocks.pieces:
+    algebra = model.algebra
+    for piece in model.blocks.pieces:
         if piece.loewy >= 3:
             witness = canonical(algebra, piece.end - 1, piece.end)
             if is_projective(algebra, witness) or not is_injective(algebra, witness):
                 raise InternalError("witness construction produced a wrong module")
-            if sing_image(algebra, witness, n).verdict != "NonZero":
+            if sing_image(model, witness).verdict != "NonZero":
                 raise InternalError("witness vanishes in the singularity category")
             return witness
     raise InternalError("classified algebra without any deep block")

@@ -176,16 +176,16 @@ def test_criterion_4_singularity_fixtures():
         5: 2, 2: 14, 3: 14, 14: 12, 12: 10, 10: 8, 8: 6, 6: 3,
     }
     assert cyclic_simples(lam_c) == set(range(1, 15)) - {2, 5}
-    fcat = f_objects(lam_c, 4)
+    presentation = gamma(lam_c, 4)
+    fcat = f_objects(lam_c, presentation)
     assert len(fcat.objects) == 24
     assert Indec(8, 9) in fcat.objects and Indec(3, 4) not in fcat.objects
-    presentation = gamma(lam_c, 4)
     assert presentation.gamma == homogeneous(Kind.CYCLIC, 12, 2)
-    record = sing_ct(lam_c, 4)
+    record = sing_ct(presentation)
     assert record.distinguished_simple_indices == frozenset({1, 7, 11})
-    witness = gorenstein_witness(lam_c, 4)
+    witness = gorenstein_witness(presentation)
     assert is_injective(lam_c, witness) and not is_projective(lam_c, witness)
-    assert sing_image(lam_c, witness, 4).verdict == "NonZero"
+    assert sing_image(presentation, witness).verdict == "NonZero"
     _report(4, "resolution quiver, cyclic simples, F, Gamma, witnesses all match")
 
 
@@ -196,7 +196,7 @@ def test_criterion_5_documented_discrepancy():
     # brute-force enumeration below confirms four.  The implementation must
     # not hard-code three.
     lam_c = self_glue(glue(homogeneous(Kind.ACYCLIC, 7, 3), homogeneous(Kind.ACYCLIC, 9, 2)))
-    record = sing_ct(lam_c, 4)
+    record = sing_ct(gamma(lam_c, 4))
     assert record.count == 4
     gm = homogeneous(Kind.CYCLIC, 12, 2)
     subs = enumerate_ct(gm, 4, "nZ")

@@ -101,23 +101,32 @@ def test_classify_matches_enumeration_exhaustively():
     assert (pairs, positive) == (3160, 49)
 
 
-def test_candidate_n_covers_every_self_glued_n():
-    # _candidate_n reads the unglued series off the rotation instead of
-    # building each ungluing; it must still propose every n that classifies
-    from nakct import Case, cut_points, unglue
-    from nakct.singularity import _candidate_n
+def gamma_n_matches_classification(total):
+    """(series checked, positives) over every cyclic series up to total: the
+    n in 2..20 that classify as self-glued are exactly the n that gamma
+    infers, and none where gamma raises."""
+    from nakct import Case, NotInClassifiedCase, cut_points, gamma, unglue
 
-    positive = 0
-    for c in kupisch_series(TOTAL)[1]:
+    checked = positive = 0
+    for c in kupisch_series(total)[1]:
         algebra = from_kupisch(Kind.CYCLIC, c)
         for p in cut_points(algebra):
             assert (1,) + c[p:] + c[:p] == unglue(algebra, p).kupisch
-        candidates = _candidate_n(algebra)
-        for n in range(2, TOTAL + 1):
-            if classify_nz(algebra, n).case is Case.CYCLIC_SELF_GLUED:
-                assert n in candidates, (algebra, n)
-                positive += 1
-    assert positive == 10
+        classified = [
+            n for n in range(2, 21) if classify_nz(algebra, n).case is Case.CYCLIC_SELF_GLUED
+        ]
+        try:
+            inferred = [gamma(algebra).n]
+        except NotInClassifiedCase:
+            inferred = []
+        assert classified == inferred, algebra
+        checked += 1
+        positive += len(classified)
+    return checked, positive
+
+
+def test_gamma_infers_every_self_glued_n():
+    assert gamma_n_matches_classification(TOTAL)[1] == 10
 
 
 def all_cut_points_selfglued(algebra, n):

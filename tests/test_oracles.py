@@ -110,3 +110,19 @@ def test_oracle_stays_out_of_production():
                 imported.add((node.module or "").rsplit(".", 1)[-1])
                 imported.update(alias.name for alias in node.names)
         assert not imported & {"oracle", "linalg"}, name
+
+
+def test_library_keeps_no_functools_cache():
+    # every result is recomputed from its arguments; nothing is memoized
+    for path in sorted(Path(nakct.__file__).parent.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.ImportFrom):
+                names.add(node.module or "")
+        assert not names & {"lru_cache", "cache", "functools"}, path.name

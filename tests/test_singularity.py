@@ -31,7 +31,6 @@ from nakct import (
     self_glue,
     simple,
     sing_ct,
-    sing_ct_of,
     sing_image,
 )
 from nakct.algebra import to_json_dict
@@ -83,7 +82,7 @@ def test_cyclic_simples_needs_cyclic(lam_a):
 
 
 def test_f_objects_lam_c(lam_c):
-    fcat = f_objects(lam_c, 4)
+    fcat = f_objects(lam_c, gamma(lam_c, 4))
     assert len(fcat.objects) == 24
     assert Indec(8, 9) in fcat.objects
     assert Indec(3, 4) not in fcat.objects
@@ -95,7 +94,7 @@ def test_f_objects_lam_c(lam_c):
         tuple(canonical(lam_c, i, j)) for i, j in expected_proj
     }
     # inference without n gives the same answer
-    assert f_objects(lam_c).f_projectives == fcat.f_projectives
+    assert f_objects(lam_c, gamma(lam_c)).f_projectives == fcat.f_projectives
 
 
 def test_f_objects_small_loop():
@@ -149,22 +148,24 @@ def test_gamma_needs_classified_case(lam_b):
 
 
 def test_sing_image_fixtures(lam_c):
-    image = sing_image(lam_c, Indec(6, 7), 4)
+    model = gamma(lam_c, 4)
+    image = sing_image(model, Indec(6, 7))
     assert (image.verdict, image.target, image.via) == ("NonZero", Indec(7, 7), "Projection")
-    image = sing_image(lam_c, Indec(2, 2), 4)
+    image = sing_image(model, Indec(2, 2))
     assert (image.verdict, image.target, image.via) == ("NonZero", Indec(2, 3), "Inclusion")
-    assert sing_image(lam_c, Indec(1, 2), 4).verdict == "Zero"
-    assert sing_image(lam_c, Indec(7, 7), 4).via == "Identity"
+    assert sing_image(model, Indec(1, 2)).verdict == "Zero"
+    assert sing_image(model, Indec(7, 7)).via == "Identity"
 
 
 def test_sing_image_targets_cover_f_objects(lam_c):
     from nakct import indecomposables
 
-    fcat = f_objects(lam_c, 4)
+    model = gamma(lam_c, 4)
+    fcat = f_objects(lam_c, model)
     non_proj = fcat.objects - fcat.f_projectives
     targets = set()
     for module in indecomposables(lam_c):
-        image = sing_image(lam_c, module, 4)
+        image = sing_image(model, module)
         if image.verdict == "NonZero":
             assert image.target in non_proj
             targets.add(image.target)
@@ -176,19 +177,20 @@ def test_sing_image_syzygy_compatibility(lam_c):
     # modules in particular never resolve away
     from nakct import ZERO, indecomposables
 
+    model = gamma(lam_c, 4)
     for module in indecomposables(lam_c):
-        verdict = sing_image(lam_c, module, 4).verdict
+        verdict = sing_image(model, module).verdict
         current = module
         for _ in range(8):
             current = omega(lam_c, current, 1)
             if current is ZERO:
                 assert verdict == "Zero"
                 break
-            assert sing_image(lam_c, current, 4).verdict == verdict
+            assert sing_image(model, current).verdict == verdict
 
 
 def test_sing_ct_fixtures(lam_c):
-    record = sing_ct(lam_c, 4)
+    record = sing_ct(gamma(lam_c, 4))
     assert record.distinguished_simple_indices == frozenset({1, 7, 11})
     assert record.gamma_indices == frozenset({3, 7, 11})
     # the paper's closing example text says three; the brute-force count
@@ -209,28 +211,30 @@ def test_distinguished_simples_form_omega_orbit(lam_c):
 
 
 def test_gorenstein_witness(lam_c):
-    witness = gorenstein_witness(lam_c, 4)
+    model = gamma(lam_c, 4)
+    witness = gorenstein_witness(model)
     assert witness == Indec(6, 7)
     assert is_injective(lam_c, witness) and not is_projective(lam_c, witness)
-    assert sing_image(lam_c, witness, 4).verdict == "NonZero"
+    assert sing_image(model, witness).verdict == "NonZero"
 
 
 def test_gorenstein_witness_other_algebra():
     base = glue(homogeneous(Kind.ACYCLIC, 7, 3), homogeneous(Kind.ACYCLIC, 9, 2))
     closed = self_glue(base)
-    witness = gorenstein_witness(closed)
+    model = gamma(closed)
+    witness = gorenstein_witness(model)
     assert is_injective(closed, witness) and not is_projective(closed, witness)
-    assert sing_image(closed, witness).verdict == "NonZero"
+    assert sing_image(model, witness).verdict == "NonZero"
     # a second family with the deep block elsewhere
     other = self_glue(glue(homogeneous(Kind.ACYCLIC, 9, 2), homogeneous(Kind.ACYCLIC, 7, 3)))
-    witness2 = gorenstein_witness(other)
+    witness2 = gorenstein_witness(gamma(other))
     assert is_injective(other, witness2) and not is_projective(other, witness2)
 
 
 def test_f_object_count_matches_gamma(lam_c):
     # |X_c| equals the total Kupisch mass of Gamma
     presentation = gamma(lam_c, 4)
-    assert len(f_objects(lam_c, 4).objects) == sum(presentation.gamma.kupisch)
+    assert len(f_objects(lam_c, presentation).objects) == sum(presentation.gamma.kupisch)
 
 
 def test_congruence_criterion_matches_sigma_cycles(lam_c):
@@ -308,9 +312,9 @@ def _write_algebra(path, algebra):
     return str(path)
 
 
-def test_singularity_command_makes_no_enumerate_calls(monkeypatch, tmp_path, capsys, lam_c):
+def _count_calls(monkeypatch, original):
+    """A one-element list counting calls of original from now on."""
     calls = [0]
-    original = nakct.tilting.enumerate_ct
 
     def counted(*args, **kwargs):
         calls[0] += 1
@@ -322,6 +326,11 @@ def test_singularity_command_makes_no_enumerate_calls(monkeypatch, tmp_path, cap
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_singularity_command_makes_no_enumerate_calls(monkeypatch, tmp_path, capsys, lam_c):
+    calls = _count_calls(monkeypatch, nakct.tilting.enumerate_ct)
     for idx, algebra in enumerate(_classified_fixtures(lam_c)):
         path = _write_algebra(tmp_path / f"algebra{idx}.json", algebra)
         assert run(["singularity", "--n", "4", path]) == 0
@@ -343,22 +352,30 @@ def test_singularity_command_scales_past_brute_force(tmp_path, capsys):
 
 
 def test_singularity_command_builds_gamma_once(monkeypatch, tmp_path, capsys, lam_c):
-    calls = [0]
     original = nakct.singularity.gamma
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "nakct" or name.startswith("nakct."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
+    calls = _count_calls(monkeypatch, original)
     for idx, algebra in enumerate(_classified_fixtures(lam_c)):
         calls[0] = 0
         path = _write_algebra(tmp_path / f"algebra{idx}.json", algebra)
         assert run(["singularity", "--n", "4", path]) == 0
         capsys.readouterr()
         assert calls[0] == 1, algebra
-        assert sing_ct(algebra, 4) == sing_ct_of(algebra, original(algebra, 4))
+        assert sing_ct(original(algebra, 4)) == sing_ct(original(algebra))
+
+
+def test_singularity_command_classifies_input_and_gamma_once(monkeypatch, tmp_path, capsys, lam_c):
+    calls = _count_calls(monkeypatch, nakct.classify.classify_nz)
+    for idx, algebra in enumerate(_classified_fixtures(lam_c)):
+        path = _write_algebra(tmp_path / f"algebra{idx}.json", algebra)
+        calls[0] = 0
+        assert run(["singularity", "--n", "4", path]) == 0
+        capsys.readouterr()
+        assert calls[0] == 2, algebra
+
+
+def test_gamma_without_n_classifies_once(monkeypatch, lam_c):
+    calls = _count_calls(monkeypatch, nakct.classify.classify_nz)
+    for algebra in _classified_fixtures(lam_c):
+        calls[0] = 0
+        assert gamma(algebra).n == 4
+        assert calls[0] == 1, algebra
