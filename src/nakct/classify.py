@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, Kind, _kind, cut_points, homogeneous, is_homogeneous, unglue
 from .errors import InternalError, InvalidParameter, KindMismatch
 from .modules import Indec, canonical, injectives, projectives, simple
-from .tilting import ct_failures, tau_n_closure, verify_ct
+from .tilting import _Check, ct_failures, tau_n_closure
 
 
 class Case(enum.Enum):
@@ -195,10 +195,7 @@ def _glued_members(algebra: Algebra, n: int, pieces) -> frozenset[Indec]:
         shape = (piece.end - piece.start + 1, piece.loewy)
         if shape not in local:
             block = homogeneous(Kind.ACYCLIC, *shape)
-            if piece.loewy == 2:
-                local[shape] = _acyclic_radsq_members(block, n)
-            else:
-                local[shape] = frozenset(projectives(block) | injectives(block))
+            local[shape] = _classify_homogeneous(block, n, piece.loewy).subcategories[0]
         shift = piece.start - 1
         members.update(Indec(x.i + shift, x.j + shift) for x in local[shape])
     return frozenset(members)
@@ -282,11 +279,13 @@ def classify_nz(algebra: Algebra, n: int) -> ClassificationResult:
     if n < 2:
         raise InvalidParameter("cluster tilting needs n >= 2")
     result = _classify_unverified(algebra, n)
-    for members in result.subcategories:
-        if not verify_ct(algebra, members, n, "nZ").verdict:
-            raise InternalError(
-                f"constructed subcategory failed re-verification on {algebra}, n={n}"
-            )
+    if result.subcategories:
+        check = _Check(algebra, n, "nZ")
+        for members in result.subcategories:
+            if next(check.failures(check.mask(members)), None) is not None:
+                raise InternalError(
+                    f"constructed subcategory failed re-verification on {algebra}, n={n}"
+                )
     return result
 
 

@@ -24,7 +24,8 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
-# largest Ext degree the ext command computes; one Omega step per degree
+# largest Ext degree that ext computes, and that verify and enumerate
+# tabulate (degrees 1..n-1); one Omega step per degree
 MAX_EXT_DEGREE = 1000
 
 
@@ -54,6 +55,11 @@ def _parse_module(algebra: alg.Algebra, text: str) -> mod.Indec:
     return mod.indec(algebra, i, j)
 
 
+def _check_ext_degree(top: int) -> None:
+    if top > MAX_EXT_DEGREE:
+        raise InvalidParameter(f"Ext degree {top} exceeds the bound {MAX_EXT_DEGREE}")
+
+
 def _report_json(report: tilting.VerifyReport) -> dict:
     return {
         "verdict": report.verdict,
@@ -70,6 +76,7 @@ def cmd_classify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     algebra = _load_algebra(args.algebra)
+    _check_ext_degree(args.n - 1)
     subs = tilting.enumerate_ct(algebra, args.n, args.mode, max_ground_set=args.max_ground_set)
     _emit({"subcategories": [tilting.members_to_json(s) for s in subs]})
     return EXIT_OK
@@ -78,6 +85,7 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     algebra = _load_algebra(args.algebra)
     members = tilting.members_from_json(algebra, _read_json(args.subcat))
+    _check_ext_degree(args.n - 1)
     report = tilting.verify_ct(algebra, members, args.n, args.mode)
     _emit(_report_json(report))
     return EXIT_OK if report.verdict else EXIT_NEGATIVE
@@ -87,9 +95,7 @@ def cmd_ext(args) -> int:
     algebra = _load_algebra(args.algebra)
     x = _parse_module(algebra, args.x)
     y = _parse_module(algebra, args.y)
-    top = args.k if args.k is not None else args.max_k
-    if top > MAX_EXT_DEGREE:
-        raise InvalidParameter(f"Ext degree {top} exceeds the bound {MAX_EXT_DEGREE}")
+    _check_ext_degree(args.k if args.k is not None else args.max_k)
     if args.k is not None:
         values = [{"k": args.k, "dim": mod.ext_dim(algebra, x, y, args.k)}]
     else:

@@ -8,6 +8,8 @@ integer basis of the rational kernel.
 
 from __future__ import annotations
 
+import math
+
 
 def rank(matrix: list[list[int]]) -> int:
     """Rank of an integer matrix over the rationals, by Bareiss elimination."""
@@ -79,15 +81,6 @@ def nullspace(matrix: list[list[int]], ncols: int) -> list[list[int]]:
         vec[fcol] = Fraction(1)
         for prow, pcol in enumerate(pivots):
             vec[pcol] = -a[prow][fcol]
-        lcm = 1
-        for x in vec:
-            if x.denominator != 1:
-                lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in vec))
         basis.append([int(x * lcm) for x in vec])
     return basis
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -5,14 +5,14 @@ additive closure).  Verification checks containment of projectives and
 injectives, pairwise Ext-orthogonality in degrees 1..n-1, the two
 perpendicularity equalities, and (in nZ mode) closure under the n-th
 syzygy.  Enumeration walks maximal orthogonal supersets of the forced
-members and filters them through the verifier: maximality is necessary but
-not sufficient.  Both read the Ext-vanishing bitsets of ``ext_table``,
-built once per call.
+members and filters them through the same failure stream as verification:
+maximality is necessary but not sufficient.  One check per algebra and n
+serves every member set of a call, and builds the Ext-vanishing bitsets of
+``ext_table`` once, and only when a member set needs them.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -23,7 +23,7 @@ from .modules import (
     Indec,
     ext_table,
     indecomposables,
-    injectives,
+    is_injective,
     is_projective,
     omega,
     projectives,
@@ -31,7 +31,6 @@ from .modules import (
 )
 
 DEFAULT_MAX_GROUND_SET = 64
-_ENV_MAX_GROUND_SET = "NAKCT_MAX_GROUND_SET"
 
 
 @dataclass(frozen=True)
@@ -101,70 +100,104 @@ def ct_failures(algebra: Algebra, members, n: int, mode: str = "nZ") -> Iterator
     ``verify_ct``, so a caller that needs only the verdict can stop at the
     first one.
     """
-    if n < 2:
-        raise InvalidParameter("cluster tilting needs n >= 2")
-    if mode not in ("n", "nZ"):
-        raise InvalidParameter("mode must be 'n' or 'nZ'")
-    members = frozenset(members)
-    ground = indecomposables(algebra)
-    ground_set = set(ground)
-    if not members <= ground_set:
-        bad = sorted(members - ground_set)[0]
-        raise InvalidSubcategory(f"{bad} is not a module over {algebra}")
-    return _failures(algebra, members, ground, n, mode)
+    check = _Check(algebra, n, mode)
+    return check.failures(check.mask(members))
 
 
-def _failures(algebra, members, ground, n, mode) -> Iterator[Failure]:
-    for p in sorted(projectives(algebra)):
-        if p not in members:
-            yield Failure("MissingProjective", module=p)
-    for q in sorted(injectives(algebra)):
-        if q not in members:
-            yield Failure("MissingInjective", module=q)
+class _Check:
+    """The n- (or nZ-) cluster tilting test on one algebra, for any number
+    of member sets, each given as a bitset over ``indecomposables``.
 
-    table = ext_table(algebra, n - 1)
-    hit = _hits(table)
-    index = {module: x for x, module in enumerate(ground)}
-    ordered = sorted(members)
-    chosen = left = 0
-    for x in ordered:
-        chosen |= 1 << index[x]
-        left |= hit[index[x]]
+    The Ext table, and per module the row of where Ext^1..Ext^(n-1) from
+    it is nonzero, are built on first need: a member set that misses a
+    projective or an injective fails before either is.
+    """
 
-    for x in ordered:
-        if not hit[index[x]] & chosen:
-            continue
-        for y in ordered:
-            for k, rows in enumerate(table, start=1):
-                if rows[index[x]] >> index[y] & 1:
-                    yield Failure("OrthogonalityFailure", module=x, other=y, degree=k)
+    def __init__(self, algebra: Algebra, n: int, mode: str):
+        if n < 2:
+            raise InvalidParameter("cluster tilting needs n >= 2")
+        if mode not in ("n", "nZ"):
+            raise InvalidParameter("mode must be 'n' or 'nZ'")
+        self.algebra, self.n, self.mode = algebra, n, mode
+        self.ground = indecomposables(algebra)
+        self.index = {module: x for x, module in enumerate(self.ground)}
+        # (position, module) in ground order, which is sorted order
+        self.projectives = [(x, p) for x, p in enumerate(self.ground) if is_projective(algebra, p)]
+        self.injectives = [(x, q) for x, q in enumerate(self.ground) if is_injective(algebra, q)]
+        self._table: list[list[int]] | None = None
+        self._hit: list[int] | None = None
 
-    for z, module in enumerate(ground):
-        if chosen >> z & 1:
-            continue
-        hit_left = left >> z & 1
-        hit_right = hit[z] & chosen
-        if hit_left and hit_right:
-            continue
-        side = "both" if not hit_left and not hit_right else ("left" if not hit_left else "right")
-        yield Failure("PerpGap", module=module, side=side)
+    def table(self) -> list[list[int]]:
+        if self._table is None:
+            self._table = ext_table(self.algebra, self.n - 1)
+        return self._table
 
-    if mode == "nZ":
+    def hit(self) -> list[int]:
+        """Per module x, the bitset of y with Ext^k(x, y) != 0 for some k in 1..n-1."""
+        if self._hit is None:
+            self._hit = [0] * len(self.ground)
+            for rows in self.table():
+                for x, row in enumerate(rows):
+                    self._hit[x] |= row
+        return self._hit
+
+    def mask(self, members) -> int:
+        """The bitset of ``members``, which must all be modules over the algebra."""
+        members = frozenset(members)
+        chosen = 0
+        for module in members:
+            x = self.index.get(module)
+            if x is None:
+                bad = min(module for module in members if module not in self.index)
+                raise InvalidSubcategory(f"{bad} is not a module over {self.algebra}")
+            chosen |= 1 << x
+        return chosen
+
+    def failures(self, chosen: int) -> Iterator[Failure]:
+        """Every reason the member bitset ``chosen`` fails, in ``verify_ct``'s order."""
+        for x, p in self.projectives:
+            if not chosen >> x & 1:
+                yield Failure("MissingProjective", module=p)
+        for x, q in self.injectives:
+            if not chosen >> x & 1:
+                yield Failure("MissingInjective", module=q)
+
+        ground, hit = self.ground, self.hit()
+        ordered = [x for x in range(len(ground)) if chosen >> x & 1]
+        left = 0
         for x in ordered:
-            if is_projective(algebra, x):
+            left |= hit[x]
+
+        if left & chosen:
+            table = self.table()
+            for x in ordered:
+                if not hit[x] & chosen:
+                    continue
+                for y in ordered:
+                    for k, rows in enumerate(table, start=1):
+                        if rows[x] >> y & 1:
+                            yield Failure(
+                                "OrthogonalityFailure", module=ground[x], other=ground[y], degree=k
+                            )
+
+        for z, module in enumerate(ground):
+            if chosen >> z & 1:
                 continue
-            image = omega(algebra, x, n)
-            if image is not ZERO and image not in members:
-                yield Failure("NotClosedUnderOmegaN", module=x)
+            hit_left = left >> z & 1
+            hit_right = hit[z] & chosen
+            if hit_left and hit_right:
+                continue
+            side = "both" if not hit_left and not hit_right else ("left" if not hit_left else "right")
+            yield Failure("PerpGap", module=module, side=side)
 
-
-def _hits(table: list[list[int]]) -> list[int]:
-    """Per module x, the bitset of y with Ext^k(x, y) != 0 for some tabulated k."""
-    hit = [0] * len(table[0])
-    for rows in table:
-        for x, row in enumerate(rows):
-            hit[x] |= row
-    return hit
+        if self.mode == "nZ":
+            for x in ordered:
+                module = ground[x]
+                if is_projective(self.algebra, module):
+                    continue
+                image = omega(self.algebra, module, self.n)
+                if image is not ZERO and not chosen >> self.index[image] & 1:
+                    yield Failure("NotClosedUnderOmegaN", module=module)
 
 
 def tau_n_closure(algebra: Algebra, n: int) -> frozenset[Indec]:
@@ -182,18 +215,6 @@ def tau_n_closure(algebra: Algebra, n: int) -> frozenset[Indec]:
     return frozenset(members)
 
 
-def _ground_bound(max_ground_set: int | None) -> int:
-    if max_ground_set is not None:
-        return max_ground_set
-    env = os.environ.get(_ENV_MAX_GROUND_SET)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidParameter(f"bad {_ENV_MAX_GROUND_SET}={env!r}")
-    return DEFAULT_MAX_GROUND_SET
-
-
 def enumerate_ct(
     algebra: Algebra,
     n: int,
@@ -207,28 +228,22 @@ def enumerate_ct(
     between them in degrees 1..n-1 is nonzero; each candidate then passes
     through the full verifier.  Output is sorted lexicographically.
     """
-    if n < 2:
-        raise InvalidParameter("cluster tilting needs n >= 2")
-    if mode not in ("n", "nZ"):
-        raise InvalidParameter("mode must be 'n' or 'nZ'")
-    bound = _ground_bound(max_ground_set)
+    check = _Check(algebra, n, mode)
+    bound = DEFAULT_MAX_GROUND_SET if max_ground_set is None else max_ground_set
     if sum(algebra.kupisch) > bound:
         raise GroundSetTooLarge(
             f"{sum(algebra.kupisch)} indecomposables exceeds the bound {bound}"
         )
 
-    ground = indecomposables(algebra)
-    size = len(ground)
-    index = {module: x for x, module in enumerate(ground)}
-
-    hit = _hits(ext_table(algebra, n - 1))
+    size = len(check.ground)
+    hit = check.hit()
     conflict = list(hit)
     for x in range(size):
         for y in range(size):
             if hit[x] >> y & 1:
                 conflict[y] |= 1 << x
 
-    forced = sorted({index[p] for p in projectives(algebra) | injectives(algebra)})
+    forced = sorted({x for x, _ in check.projectives + check.injectives})
     forced_mask = 0
     for x in forced:
         forced_mask |= 1 << x
@@ -280,29 +295,7 @@ def enumerate_ct(
     results = []
     for mask in maximal:
         chosen = forced_mask | mask
-        members = frozenset(ground[x] for x in range(size) if (chosen >> x) & 1)
-        if _passes(algebra, hit, chosen, members, n, mode):
-            results.append(members)
+        if next(check.failures(chosen), None) is None:
+            results.append(frozenset(check.ground[x] for x in range(size) if chosen >> x & 1))
     results.sort(key=subcategory_key)
     return results
-
-
-def _passes(algebra, hit, chosen, members, n, mode) -> bool:
-    """Fast verifier for enumeration candidates (conflict-freeness is given)."""
-    left = 0
-    for c, row in enumerate(hit):
-        if chosen >> c & 1:
-            left |= row
-    for z, row in enumerate(hit):
-        if chosen >> z & 1:
-            continue
-        if not (left >> z & 1 and row & chosen):
-            return False
-    if mode == "nZ":
-        for module in members:
-            if is_projective(algebra, module):
-                continue
-            image = omega(algebra, module, n)
-            if image is not ZERO and image not in members:
-                return False
-    return True

@@ -209,11 +209,11 @@ def _four_block_chain(glued15):
 def test_positive_self_glued_ungluings_once(monkeypatch, lam_c, glued15):
     # the deep-ramp cut point comes first and its ungluing is the answer;
     # only the cyclic algebra's subcategory is verified
-    calls = _count_calls(monkeypatch, ("unglue", "tau_n_closure", "verify_ct"))
+    calls = _count_calls(monkeypatch, ("unglue", "tau_n_closure", "_Check"))
     for algebra in _rotations(lam_c) + [_four_block_chain(glued15)]:
         calls.update(dict.fromkeys(calls, 0))
         assert classify_nz(algebra, 4).case is Case.CYCLIC_SELF_GLUED
-        assert calls == {"unglue": 1, "tau_n_closure": 0, "verify_ct": 1}, algebra
+        assert calls == {"unglue": 1, "tau_n_closure": 0, "_Check": 1}, algebra
 
 
 def test_negative_self_glued_ungluings_each_series_once(monkeypatch, lam_b, lam_c, glued15):
@@ -222,10 +222,10 @@ def test_negative_self_glued_ungluings_each_series_once(monkeypatch, lam_b, lam_
     chain = _four_block_chain(glued15)
     c = chain.kupisch
     assert 4 * len({(1,) + c[p:] + c[:p] for p in cut_points(chain)}) == len(cut_points(chain))
-    calls = _count_calls(monkeypatch, ("unglue", "verify_ct"))
+    calls = _count_calls(monkeypatch, ("unglue", "_Check"))
     for algebra, n in ((lam_b, 2), (lam_b, 4), (lam_c, 2), (chain, 2), (chain, 6)):
         calls.update(dict.fromkeys(calls, 0))
         assert not classify_nz(algebra, n).exists
         c = algebra.kupisch
         distinct = {(1,) + c[p:] + c[:p] for p in cut_points(algebra)}
-        assert calls == {"unglue": len(distinct), "verify_ct": 0}, (algebra, n)
+        assert calls == {"unglue": len(distinct), "_Check": 0}, (algebra, n)

@@ -197,22 +197,27 @@ def test_input_error_exit_codes(files, capsys):
     )
     assert code == 2 and not out
     assert json.loads(err)["error"] == "InvalidSubcategory"
-    for flag in ("--k", "--max-k"):
-        code, out, err = _run(
-            capsys, ["ext", "--x", "1,1", "--y", "1,1", flag, "100000", files["lamC.json"]]
-        )
-        assert code == 2 and not out
+    # verify and enumerate tabulate Ext^1..Ext^(n-1), under ext's degree bound
+    too_deep = [
+        ["ext", "--x", "1,1", "--y", "1,1", "--k", "100000", files["lamC.json"]],
+        ["ext", "--x", "1,1", "--y", "1,1", "--max-k", "100000", files["lamC.json"]],
+        ["verify", "--n", "1002", "--subcat", files["marked.json"], files["a9r2.json"]],
+        ["enumerate", "--n", "10000000", files["a9r2.json"]],
+    ]
+    for argv in too_deep:
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and not out, argv
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "InvalidParameter"
 
 
-def test_capacity_exit_code(files, capsys, monkeypatch):
-    monkeypatch.delenv("NAKCT_MAX_GROUND_SET", raising=False)
+def test_capacity_exit_code(files, capsys):
     code, _, err = _run(capsys, ["enumerate", "--n", "2", files["big.json"]])
     assert code == 3
     assert json.loads(err)["error"] == "GroundSetTooLarge"
-    monkeypatch.setenv("NAKCT_MAX_GROUND_SET", "80")
-    code, out, _ = _run(capsys, ["enumerate", "--n", "2", files["big.json"]])
+    code, out, _ = _run(
+        capsys, ["enumerate", "--n", "2", "--max-ground-set", "80", files["big.json"]]
+    )
     assert code == 0
 
 

@@ -18,7 +18,7 @@ from nakct import (
     simple,
 )
 from nakct.modules import ext_table
-from nakct.tilting import subcategory_key
+from nakct.tilting import Failure, ct_failures, subcategory_key
 
 TOTAL = 20
 KMAX = 5
@@ -99,6 +99,79 @@ def test_classify_matches_enumeration_exhaustively():
             pairs += 1
             positive += result.exists
     assert (pairs, positive) == (3160, 49)
+
+
+def reference_failures(algebra, ext, members, n, mode):
+    """``verify_ct``'s failure tuple from the definitions alone.
+
+    ``ext[x, y]`` holds (dim Ext^1, ..., dim Ext^k)(x, y) from
+    ``ext_dims_upto`` for some k >= n - 1; nothing here reads ``ext_table``.
+    """
+    from nakct import ZERO, injectives, is_projective, omega, projectives
+
+    ordered = sorted(members)
+
+    def nonzero(x, y):
+        return any(ext[x, y][: n - 1])
+
+    out = [Failure("MissingProjective", module=p) for p in sorted(projectives(algebra))
+           if p not in members]
+    out += [Failure("MissingInjective", module=q) for q in sorted(injectives(algebra))
+            if q not in members]
+    out += [
+        Failure("OrthogonalityFailure", module=x, other=y, degree=k)
+        for x in ordered
+        for y in ordered
+        for k, dim in enumerate(ext[x, y][: n - 1], start=1)
+        if dim
+    ]
+    # C = {z : Ext(C, z) = 0} ("left") and C = {z : Ext(z, C) = 0} ("right")
+    for z in indecomposables(algebra):
+        if z in members:
+            continue
+        left_gap = not any(nonzero(x, z) for x in members)
+        right_gap = not any(nonzero(z, x) for x in members)
+        if left_gap or right_gap:
+            side = "both" if left_gap and right_gap else ("left" if left_gap else "right")
+            out.append(Failure("PerpGap", module=z, side=side))
+    if mode == "nZ":
+        for x in ordered:
+            if is_projective(algebra, x):
+                continue
+            image = omega(algebra, x, n)
+            if image is not ZERO and image not in members:
+                out.append(Failure("NotClosedUnderOmegaN", module=x))
+    return tuple(out)
+
+
+def test_ct_failures_match_definitions_exhaustively():
+    # an oracle for the verifier that shares no code with its Ext table,
+    # on the member sets the library builds and on seeded random ones
+    import random
+
+    from nakct import injectives, projectives, tau_n_closure
+
+    rng = random.Random(14)
+    checked = 0
+    for algebra in all_algebras(14):
+        ground = indecomposables(algebra)
+        ext = {(x, y): ext_dims_upto(algebra, x, y, 3) for x in ground for y in ground}
+        forced = frozenset(projectives(algebra) | injectives(algebra))
+        for n in (2, 3, 4):
+            closure = tau_n_closure(algebra, n)
+            for mode in ("n", "nZ"):
+                sets = [closure, forced, *enumerate_ct(algebra, n, mode)]
+                sets += [
+                    base | frozenset(rng.sample(ground, rng.randint(0, len(ground))))
+                    for base in (frozenset(), forced, closure)
+                ]
+                for members in sets:
+                    got = tuple(ct_failures(algebra, members, n, mode))
+                    assert got == reference_failures(algebra, ext, members, n, mode), (
+                        algebra, n, mode, sorted(members)
+                    )
+                    checked += 1
+    assert checked == 3418
 
 
 def gamma_n_matches_classification(total):

@@ -340,6 +340,20 @@ def test_singularity_command_makes_no_enumerate_calls(monkeypatch, tmp_path, cap
     assert calls[0] == 1  # the counter does see a call
 
 
+def test_singularity_command_builds_two_ext_tables(monkeypatch, tmp_path, capsys, lam_c):
+    # one for the input's subcategory and one for all n of Gamma's, however
+    # large n is; 300 vertices at n = 200 used to build 201
+    calls = _count_calls(monkeypatch, nakct.modules.ext_table)
+    wide = self_glue(homogeneous(Kind.ACYCLIC, 301, 3))
+    cases = [(algebra, 4) for algebra in _classified_fixtures(lam_c)] + [(wide, 200)]
+    for idx, (algebra, n) in enumerate(cases):
+        path = _write_algebra(tmp_path / f"algebra{idx}.json", algebra)
+        calls[0] = 0
+        assert run(["singularity", "--n", str(n), path]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == n
+        assert calls[0] == 2, (algebra, n)
+
+
 def test_singularity_command_scales_past_brute_force(tmp_path, capsys):
     # 56 vertices and twelve pieces, so Gamma has 48 vertices; brute force
     # over its 96 indecomposables took seconds, the closed form milliseconds

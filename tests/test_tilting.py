@@ -117,13 +117,11 @@ def test_enumerate_ground_bound():
     assert enumerate_ct(algebra, 2, "nZ", max_ground_set=80) == []
 
 
-def test_enumerate_env_override(monkeypatch):
+def test_enumerate_bound_override():
     algebra = homogeneous(Kind.CYCLIC, 10, 8)
-    monkeypatch.setenv("NAKCT_MAX_GROUND_SET", "80")
-    assert enumerate_ct(algebra, 2, "nZ") == []
-    monkeypatch.setenv("NAKCT_MAX_GROUND_SET", "10")
+    assert enumerate_ct(algebra, 2, "nZ", max_ground_set=80) == []
     with pytest.raises(GroundSetTooLarge):
-        enumerate_ct(algebra, 2, "nZ")
+        enumerate_ct(algebra, 2, "nZ", max_ground_set=10)
 
 
 def test_enumerate_deterministic_order():
