@@ -163,9 +163,11 @@ def is_homogeneous(algebra: Algebra) -> HomogeneitySpec | None:
     c = algebra.kupisch
     if algebra.is_cyclic:
         l = c[0]
-        return HomogeneitySpec(l) if all(x == l for x in c) else None
+        return HomogeneitySpec(l) if c.count(l) == algebra.m else None
+    # c = (1, 2, ..., l, l, ..., l) with l = max(c); c_j <= j puts the
+    # first l at index l or later, so m >= l
     l = max(c)
-    if l >= 2 and all(x == min(j, l) for j, x in enumerate(c, start=1)):
+    if c[:l] == tuple(range(1, l + 1)) and c.count(l) == algebra.m - l + 1:
         return HomogeneitySpec(l)
     return None
 

@@ -7,16 +7,18 @@ admitting case the subcategories are written down explicitly and verified
 once, on the algebra they are returned for; the brute-force enumerator is
 the ground truth the decision procedure is tested against, never a fallback.
 
-A glued algebra's subcategory is the union of its pieces' homogeneous ones,
-shifted into place.  A self-glued cyclic algebra is unglued at a cut point
-and the acyclic result classified.  The first cut point tried starts a deep
-ramp (c_{p+1} = 2, c_{p+2} >= 3).  Every such point of a positive algebra
-is the start of a deep piece, and ungluing at a piece start parses into the
-same pieces, so there one ungluing answers; the first positive ungluing is
-returned as the certificate that ``classify_nz`` verifies.  A negative
-verdict has no certificate, so it is reached only after every distinct
-ungluing has been classified and, where ``decompose`` fails, cross-checked
-against the tau_n-closure of the projectives.
+A glued or self-glued algebra's subcategory is the union of its pieces'
+projectives and injectives, built in place from each piece (s, e, l): the
+homogeneous algebra of Loewy length l on vertices s..e.  A self-glued cyclic
+algebra is unglued at a cut point and the ungluing parsed into pieces, which
+are read back on the cycle.  The first cut point tried starts a deep ramp
+(c_{p+1} = 2, c_{p+2} >= 3).  Every such point of a positive algebra is the
+start of a deep piece, and ungluing at a piece start parses into the same
+pieces, so there one ungluing answers; the first parsed ungluing gives the
+certificate that ``classify_nz`` verifies.  A negative verdict has no
+certificate, so it is reached only after every distinct ungluing has been
+parsed and, where ``decompose`` fails on a non-homogeneous one,
+cross-checked against the tau_n-closure of the projectives.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .algebra import Algebra, Kind, _kind, cut_points, homogeneous, is_homogeneous, unglue
+from .algebra import Algebra, Kind, _kind, cut_points, is_homogeneous, unglue
 from .errors import InternalError, InvalidParameter, KindMismatch
-from .modules import Indec, canonical, injectives, projectives, simple
+from .modules import Indec, canonical, projectives, simple
 from .tilting import _Check, ct_failures, tau_n_closure
 
 
@@ -134,96 +136,47 @@ def decompose(algebra: Algebra, n: int) -> Decomposition | None:
         length = n * l // 2
         if read_plateau(c, s, l, length) < length:
             return None
-        pieces.append(Piece(s, s + length, l))
+        pieces.append((s, s + length, l))
         s += length
-    return Decomposition(tuple(pieces))
+    return Decomposition(tuple(Piece(*piece) for piece in pieces))
 
 
-def _acyclic_radsq_members(algebra: Algebra, n: int) -> frozenset[Indec]:
-    extra = {simple(algebra, 1 + k * n) for k in range((algebra.m - 1) // n + 1)}
-    return frozenset(projectives(algebra) | extra)
-
-
-def _cyclic_radsq_members(algebra: Algebra, n: int, i: int) -> frozenset[Indec]:
-    extra = {simple(algebra, i + k * n) for k in range(algebra.m // n)}
-    return frozenset(projectives(algebra) | extra)
-
-
-def _cyclic_stacked_members(algebra: Algebra, n: int, i: int) -> frozenset[Indec]:
-    extra = set()
-    for k in range(algebra.m // n):
-        extra.add(simple(algebra, i + k * n))
-        extra.add(canonical(algebra, i + k * n, i + (k + 1) * n))
-    return frozenset(projectives(algebra) | extra)
-
-
-def _classify_homogeneous(algebra: Algebra, n: int, l: int) -> ClassificationResult:
-    m = algebra.m
-    if algebra.kind is Kind.ACYCLIC:
-        if l == 2 and (m - 1) % n == 0:
-            pieces = tuple(Piece(1 + k * n, 1 + (k + 1) * n, 2) for k in range((m - 1) // n))
-            return ClassificationResult(
-                True,
-                Case.ACYCLIC_HOMOG_RADSQ,
-                Decomposition(pieces),
-                (_acyclic_radsq_members(algebra, n),),
-            )
-        if l >= 3 and (m - 1) % l == 0 and n == 2 * (m - 1) // l:
-            members = frozenset(projectives(algebra) | injectives(algebra))
-            return ClassificationResult(
-                True,
-                Case.ACYCLIC_HOMOG_DEEP,
-                Decomposition((Piece(1, m, l),)),
-                (members,),
-            )
-        return ClassificationResult(False, Case.NONE, None, ())
-    if l == 2 and m % n == 0:
-        subs = tuple(_cyclic_radsq_members(algebra, n, i) for i in range(1, n + 1))
-        return ClassificationResult(True, Case.CYCLIC_HOMOG_RADSQ, None, subs)
-    if l >= 4 and n == l - 2 and m % n == 0:
-        subs = tuple(_cyclic_stacked_members(algebra, n, i) for i in range(1, n + 1))
-        return ClassificationResult(True, Case.CYCLIC_HOMOG_STACKED, None, subs)
-    return ClassificationResult(False, Case.NONE, None, ())
-
-
-def _glued_members(algebra: Algebra, n: int, pieces) -> frozenset[Indec]:
-    """The union over pieces of each homogeneous piece's subcategory, moved
-    from the piece's own vertices 1..end-start+1 to start..end."""
-    local: dict[tuple[int, int], frozenset[Indec]] = {}
+def _piece_members(algebra: Algebra, pieces) -> frozenset[Indec]:
+    """The union over pieces (s, e, l) of the piece's projectives
+    M(max(s, v-l+1), v) and injectives M(v, min(e, v+l-1)), v = s..e, in
+    the coordinates of the algebra the pieces belong to."""
     members = set()
     for piece in pieces:
-        shape = (piece.end - piece.start + 1, piece.loewy)
-        if shape not in local:
-            block = homogeneous(Kind.ACYCLIC, *shape)
-            local[shape] = _classify_homogeneous(block, n, piece.loewy).subcategories[0]
-        shift = piece.start - 1
-        members.update(Indec(x.i + shift, x.j + shift) for x in local[shape])
+        s, e, l = piece.start, piece.end, piece.loewy
+        for v in range(s, e + 1):
+            members.add(canonical(algebra, max(s, v - l + 1), v))
+            members.add(canonical(algebra, v, min(e, v + l - 1)))
     return frozenset(members)
 
 
-def _classify_acyclic_glued(algebra: Algebra, n: int) -> ClassificationResult:
-    # decompose decides; a failed parse is cross-checked here (one failure
-    # suffices) and a successful one by classify_nz's verification
+def _cyclic_homog_members(algebra: Algebra, n: int, i: int) -> frozenset[Indec]:
+    """The projectives, the simples at i + kn and those M(i+kn, i+(k+1)n)
+    that are modules (when l = n + 2)."""
+    extra = set()
+    for k in range(algebra.m // n):
+        extra.add(simple(algebra, i + k * n))
+        if algebra.exists(i + k * n, i + (k + 1) * n):
+            extra.add(canonical(algebra, i + k * n, i + (k + 1) * n))
+    return frozenset(projectives(algebra) | extra)
+
+
+def _checked_decompose(algebra: Algebra, n: int, homogeneous: bool) -> Decomposition | None:
+    # decompose decides; a failed parse of a non-homogeneous algebra is
+    # cross-checked here (one failure suffices) and a successful one by
+    # classify_nz's verification
     decomposition = decompose(algebra, n)
-    if decomposition is None:
+    if decomposition is None and not homogeneous:
         candidate = tau_n_closure(algebra, n)
         if next(ct_failures(algebra, candidate, n, "nZ"), None) is None:
             raise InternalError(
                 f"tau_n-closure verification and decomposition disagree on {algebra}, n={n}"
             )
-        return ClassificationResult(False, Case.NONE, None, ())
-    members = _glued_members(algebra, n, decomposition.pieces)
-    return ClassificationResult(True, Case.ACYCLIC_GLUED, decomposition, (members,))
-
-
-def _classify_unverified(algebra: Algebra, n: int) -> ClassificationResult:
-    """classify_nz without the verification of what it constructs."""
-    spec = is_homogeneous(algebra)
-    if spec is not None:
-        return _classify_homogeneous(algebra, n, spec.l)
-    if algebra.kind is Kind.ACYCLIC:
-        return _classify_acyclic_glued(algebra, n)
-    return _classify_cyclic_selfglued(algebra, n)
+    return decomposition
 
 
 def _ungluing_order(algebra: Algebra) -> list[int]:
@@ -238,11 +191,11 @@ def _rotation_period(c: tuple[int, ...]) -> int:
     return next(d for d in range(1, m + 1) if m % d == 0 and c[d:] + c[:d] == c)
 
 
-def _classify_cyclic_selfglued(algebra: Algebra, n: int) -> ClassificationResult:
-    # Deep-ramp cut point first, and the first positive ungluing is the
-    # answer (classify_nz verifies it on this algebra).  A negative verdict
-    # classifies every distinct ungluing: with no certificate to verify, it
-    # must not rest on the deep-ramp point alone.
+def _selfglued_decomposition(algebra: Algebra, n: int) -> Decomposition | None:
+    # Deep-ramp cut point first, and the first parsed ungluing is the answer
+    # (classify_nz verifies it on this algebra).  A negative verdict parses
+    # every distinct ungluing: with no certificate to verify, it must not
+    # rest on the deep-ramp point alone.
     #
     # unglue(algebra, p) has the series (1,) + c[p:] + c[:p], so two cut
     # points give the same ungluing exactly when they differ by a multiple
@@ -254,24 +207,48 @@ def _classify_cyclic_selfglued(algebra: Algebra, n: int) -> ClassificationResult
         if p % period in seen:
             continue
         seen.add(p % period)
-        sub = _classify_unverified(unglue(algebra, p), n)
-        if not sub.exists:
+        unglued = unglue(algebra, p)
+        sub = _checked_decompose(unglued, n, is_homogeneous(unglued) is not None)
+        if sub is None:
             continue
-        (members,) = sub.subcategories
-        shifted = frozenset(
-            canonical(algebra, x.i + p - 1, x.j + p - 1) for x in members
-        )
         # piece starts land in 1..m and are listed in increasing order, the
         # same for every rotation and cut point; ends stay un-reduced so that
         # consecutive pieces visibly share endpoints around the cycle
         pieces = []
-        for piece in sub.decomposition.pieces:
+        for piece in sub.pieces:
             start = (piece.start + p - 2) % m + 1
             pieces.append(Piece(start, start + piece.end - piece.start, piece.loewy))
         pieces.sort(key=lambda piece: piece.start)
-        decomposition = Decomposition(tuple(pieces), self_glued=True)
-        return ClassificationResult(True, Case.CYCLIC_SELF_GLUED, decomposition, (shifted,))
-    return ClassificationResult(False, Case.NONE, None, ())
+        return Decomposition(tuple(pieces), self_glued=True)
+    return None
+
+
+def _classify_unverified(algebra: Algebra, n: int) -> ClassificationResult:
+    """classify_nz without the verification of what it constructs."""
+    spec = is_homogeneous(algebra)
+    if algebra.kind is Kind.ACYCLIC:
+        decomposition = _checked_decompose(algebra, n, spec is not None)
+        if spec is None:
+            case = Case.ACYCLIC_GLUED
+        else:
+            case = Case.ACYCLIC_HOMOG_RADSQ if spec.l == 2 else Case.ACYCLIC_HOMOG_DEEP
+    elif spec is None:
+        decomposition = _selfglued_decomposition(algebra, n)
+        case = Case.CYCLIC_SELF_GLUED
+    else:
+        l, m = spec.l, algebra.m
+        if l == 2 and m % n == 0:
+            case = Case.CYCLIC_HOMOG_RADSQ
+        elif l >= 4 and n == l - 2 and m % n == 0:
+            case = Case.CYCLIC_HOMOG_STACKED
+        else:
+            return ClassificationResult(False, Case.NONE, None, ())
+        subs = tuple(_cyclic_homog_members(algebra, n, i) for i in range(1, n + 1))
+        return ClassificationResult(True, case, None, subs)
+    if decomposition is None:
+        return ClassificationResult(False, Case.NONE, None, ())
+    members = _piece_members(algebra, decomposition.pieces)
+    return ClassificationResult(True, case, decomposition, (members,))
 
 
 def classify_nz(algebra: Algebra, n: int) -> ClassificationResult:

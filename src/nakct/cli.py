@@ -39,7 +39,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
         raise InvalidParameter(f"cannot read JSON from {path}: {exc}")
 
 
@@ -96,6 +96,8 @@ def cmd_ext(args) -> int:
     x = _parse_module(algebra, args.x)
     y = _parse_module(algebra, args.y)
     _check_ext_degree(args.k if args.k is not None else args.max_k)
+    if args.k is None and args.max_k < 0:
+        raise InvalidParameter(f"--max-k must be >= 0, got {args.max_k}")
     if args.k is not None:
         values = [{"k": args.k, "dim": mod.ext_dim(algebra, x, y, args.k)}]
     else:

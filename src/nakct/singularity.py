@@ -118,10 +118,10 @@ def cyclic_simples(algebra: Algebra) -> set[int]:
 def f_objects(algebra: Algebra, model: GammaPresentation | None = None) -> FCategory:
     """The Frobenius subcategory: top and tau-socle both cyclic simples.
 
-    Given the algebra's singularity model, the objects are also produced by
-    the four per-block families and the F-projectives are the two projective
-    families; without one only the definitional filter is applied and
-    f_projectives stays absent.
+    Given the algebra's singularity model, the F-projectives are Gamma's
+    enumeration and the objects are also produced by them and the two
+    non-projective per-block families; without one only the definitional
+    filter is applied and f_projectives stays absent.
     """
     if algebra.kind is not Kind.CYCLIC:
         raise KindMismatch("the construction needs a cyclic algebra")
@@ -136,26 +136,21 @@ def f_objects(algebra: Algebra, model: GammaPresentation | None = None) -> FCate
     )
     if model is None:
         return FCategory(objects, None)
-    families = _type_families(algebra, model.blocks)
-    if frozenset().union(*families) != objects:
+    f_projectives = frozenset(model.projectives_enum)
+    if f_projectives.union(*_type_families(algebra, model.blocks)) != objects:
         raise InternalError("type families disagree with the definitional filter")
-    f_projectives = frozenset(families[2] | families[3])
     return FCategory(objects, f_projectives)
 
 
 def _type_families(algebra: Algebra, blocks: Decomposition):
-    """The four module families over pairs (block, i = start mod loewy)."""
+    """The simples and cosyzygies of F over pairs (block, i = start mod loewy)."""
     simples_f: set[Indec] = set()
     cosyzygies_f: set[Indec] = set()
-    long_proj: set[Indec] = set()
-    shifted_proj: set[Indec] = set()
     for piece in blocks.pieces:
         for i in range(piece.start, piece.end, piece.loewy):
             simples_f.add(canonical(algebra, i, i))
             cosyzygies_f.add(canonical(algebra, i + 1, i + piece.loewy - 1))
-            long_proj.add(canonical(algebra, i, i + piece.loewy - 1))
-            shifted_proj.add(canonical(algebra, i + 1, i + piece.loewy))
-    return (simples_f, cosyzygies_f, long_proj, shifted_proj)
+    return (simples_f, cosyzygies_f)
 
 
 def _inferred_n(algebra: Algebra) -> int | None:

@@ -216,6 +216,28 @@ def test_positive_self_glued_ungluings_once(monkeypatch, lam_c, glued15):
         assert calls == {"unglue": 1, "tau_n_closure": 0, "_Check": 1}, algebra
 
 
+def test_algebra_builds_per_classification(monkeypatch, lam_c, glued15):
+    # members are built in place: no block algebra per piece shape, and a
+    # positive self-glued verdict builds only its one ungluing
+    import nakct.algebra
+
+    builds = 0
+    original = nakct.algebra.Algebra.__post_init__
+
+    def counted(self):
+        nonlocal builds
+        builds += 1
+        original(self)
+
+    monkeypatch.setattr(nakct.algebra.Algebra, "__post_init__", counted)
+    cases = [(glued15, 4, 0), (_four_block_chain(glued15), 4, 1), (lam_c, 2, 9)]
+    cases += [(algebra, 4, 1) for algebra in _rotations(lam_c)]
+    for algebra, n, expected in cases:
+        builds = 0
+        classify_nz(algebra, n)
+        assert builds == expected, (algebra, n)
+
+
 def test_negative_self_glued_ungluings_each_series_once(monkeypatch, lam_b, lam_c, glued15):
     # a negative verdict classifies every distinct ungluing, and builds
     # each one once however many cut points give it

@@ -44,6 +44,10 @@ def files(tmp_path):
     write("float_members.json", {"members": [[1.9, 2.2], [1, 1]]})
     write("huge.json", {"kind": "acyclic", "homogeneous": {"m": 100000000, "l": 3}})
     write("huge_kupisch.json", {"kind": "cyclic", "kupisch": [20001]})
+    # malformed files: too deeply nested to decode, and not UTF-8
+    for name, data in (("nested.json", b"[" * 100000), ("utf16.json", b"\xff\xfe{}")):
+        (tmp_path / name).write_bytes(data)
+        paths[name] = str(tmp_path / name)
     return paths
 
 
@@ -203,6 +207,9 @@ def test_input_error_exit_codes(files, capsys):
         ["ext", "--x", "1,1", "--y", "1,1", "--max-k", "100000", files["lamC.json"]],
         ["verify", "--n", "1002", "--subcat", files["marked.json"], files["a9r2.json"]],
         ["enumerate", "--n", "10000000", files["a9r2.json"]],
+        ["ext", "--x", "1,1", "--y", "1,1", "--max-k", "-3", files["lamC.json"]],
+        ["gldim", files["nested.json"]],
+        ["gldim", files["utf16.json"]],
     ]
     for argv in too_deep:
         code, out, err = _run(capsys, argv)

@@ -288,7 +288,7 @@ def glued_chain(n, loewys):
 
 
 def test_glued_members_equal_tau_n_closure():
-    # the pieces' homogeneous subcategories, shifted into place, are the
+    # the union of the pieces' projectives and injectives is the
     # tau_n-closure of the projectives that classify_nz no longer computes
     from nakct import Case, tau_n_closure
 
