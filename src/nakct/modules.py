@@ -37,11 +37,16 @@ different basis map or to 0.  So Ext^1(Y, N) != 0 iff, for some shift of N,
 
     p <= c <= i-1 <= d <= min(j-1, rmax(c)).
 
-For each c that is one run of consecutive positions M(c, i-1) ..
-M(c, min(j-1, rmax(c))) in ``indecomposables``, and ``ext_table`` ORs one
-mask per run into the Ext^1 row of Y, with no Hom call; degree k is the
-Ext^1 row of Omega^(k-1) X.  ``ext_dims_upto`` keeps the three-Hom count
-for dimensions, and the tests hold the table to it.
+Modules are numbered by their place in ``indecomposables``: M(i,j) with
+1 <= i <= m sits at first[i] + j - i, where first[i] = sum over v < i of
+(rmax(v) - v + 1) counts the modules with a smaller socle
+(``first_positions``).  For each c the modules M(c, i-1) ..
+M(c, min(j-1, rmax(c))) are one run of consecutive positions, starting at
+first[vertex(c)] + i-1-c, and ``ext_table`` ORs one mask per run into the
+Ext^1 row of Y, looping over i and j with the Kupisch tables and this
+formula alone: no module objects and no Hom call.  Degree k is the Ext^1
+row of Omega^(k-1) X.  ``ext_dims_upto`` keeps the three-Hom count for
+dimensions, and the tests hold the table to it.
 """
 
 from __future__ import annotations
@@ -122,6 +127,16 @@ def indecomposables(algebra: Algebra) -> list[Indec]:
         for i in range(1, algebra.m + 1)
         for j in range(i, algebra.rmax(i) + 1)
     ]
+
+
+def first_positions(algebra: Algebra) -> list[int]:
+    """first[i], the position of M(i,i) in ``indecomposables`` for i = 1..m,
+    so that M(i,j) sits at first[i] + j - i; first[m + 1] is the number of
+    indecomposables, and first[0] = 0 is padding."""
+    first = [0, 0]
+    for i, top in enumerate(algebra._rmax, start=1):
+        first.append(first[-1] + top - i + 1)
+    return first
 
 
 def simple(algebra: Algebra, v: int) -> Indec:
@@ -272,36 +287,36 @@ def ext_table(algebra: Algebra, kmax: int) -> list[list[int]]:
     """Where Ext^1..Ext^kmax vanish, as bitsets over indecomposables(algebra).
 
     Bit y of ``table[k-1][x]`` is set iff Ext^k(x, y) != 0, with x and y
-    positions in ``indecomposables(algebra)``.  Built per call; nothing is
-    kept between calls.
+    positions in ``indecomposables(algebra)`` (see ``first_positions``).
+    Built per call; nothing is kept between calls.
     """
     if kmax < 1:
         raise InvalidParameter("ext_dim needs k >= 1")
-    m = algebra.m
-    first = [0] * (m + 1)  # first[i]: position of M(i,i)
-    for i in range(1, m):
-        first[i + 1] = first[i] + algebra.rmax(i) - i + 1
-
-    def position(i: int, j: int) -> int:
-        return first[algebra.vertex(i)] + j - i
-
-    ground = indecomposables(algebra)
-    ext1 = [0] * len(ground)
-    syzygy_at: list[int | None] = [None] * len(ground)
-    for x, (i, j) in enumerate(ground):
-        p = algebra.lmax(j)
-        if p == i:
-            continue
-        syzygy_at[x] = position(p, i - 1)
-        row = 0
-        for c in range(p, i):
-            # the run M(c, i-1) .. M(c, hi): consecutive positions
-            hi = min(j - 1, algebra.rmax(c))
-            row |= ((1 << (hi - i + 2)) - 1) << position(c, i - 1)
-        ext1[x] = row
+    m, lmax, rmax = algebra.m, algebra._lmax, algebra._rmax
+    first = first_positions(algebra)
+    size = first[m + 1]
+    ext1 = [0] * size
+    syzygy_at: list[int | None] = [None] * size
+    x = 0  # the position of M(i, j)
+    for i in range(1, m + 1):
+        for j in range(i, rmax[i - 1] + 1):
+            # base = vertex(.) - 1 indexes the tables, as in Algebra.lmax
+            base = (j - 1) % m
+            p = lmax[base] + j - 1 - base  # lmax(j)
+            if p < i:
+                base = (p - 1) % m
+                syzygy_at[x] = first[base + 1] + i - 1 - p  # Omega M(i,j) = M(p, i-1)
+                row = 0
+                for c in range(p, i):
+                    # the run M(c, i-1) .. M(c, hi): consecutive positions
+                    base = (c - 1) % m
+                    hi = min(j - 1, rmax[base] + c - 1 - base)
+                    row |= ((1 << (hi - i + 2)) - 1) << (first[base + 1] + i - 1 - c)
+                ext1[x] = row
+            x += 1
 
     table = [ext1]
-    at: list[int | None] = list(range(len(ground)))  # position of Omega^(k-1) x
+    at: list[int | None] = list(range(size))  # position of Omega^(k-1) x
     for _ in range(kmax - 1):
         at = [None if x is None else syzygy_at[x] for x in at]
         table.append([0 if x is None else ext1[x] for x in at])

@@ -9,10 +9,19 @@ members and filters them through the same failure stream as verification:
 maximality is necessary but not sufficient.  One check per algebra and n
 serves every member set of a call, and builds the Ext-vanishing bitsets of
 ``ext_table`` once, and only when a member set needs them.
+
+The check works on integer positions, not on module objects: M(i,j) with
+1 <= i <= m is bit first[i] + j - i of a member set (``first_positions``),
+which is its place in ``indecomposables``.  The projectives P_v = M(lmax(v), v)
+(shifted so the socle lies in 1..m) and the injectives I_v = M(v, rmax(v))
+are two bitsets, one lookup per vertex, and Omega^n of a member is walked in
+integer coordinates.  The list of ``indecomposables`` itself is built only
+when a failure names a module or ``enumerate_ct`` returns its subcategories.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -22,10 +31,8 @@ from .modules import (
     ZERO,
     Indec,
     ext_table,
+    first_positions,
     indecomposables,
-    is_injective,
-    is_projective,
-    omega,
     projectives,
     tau_n,
 )
@@ -104,13 +111,22 @@ def ct_failures(algebra: Algebra, members, n: int, mode: str = "nZ") -> Iterator
     return check.failures(check.mask(members))
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask`` (>= 0), in increasing order."""
+    return [x for x, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
 class _Check:
     """The n- (or nZ-) cluster tilting test on one algebra, for any number
     of member sets, each given as a bitset over ``indecomposables``.
 
+    Building it is O(m): the offsets ``first`` (M(i,j) is bit
+    first[i] + j - i) and the bitsets of the projectives and the injectives.
     The Ext table, and per module the row of where Ext^1..Ext^(n-1) from
     it is nonzero, are built on first need: a member set that misses a
-    projective or an injective fails before either is.
+    projective or an injective fails before either is.  So is ``ground``,
+    the list of ``indecomposables``, which only a named failure and
+    ``enumerate_ct`` read.
     """
 
     def __init__(self, algebra: Algebra, n: int, mode: str):
@@ -119,13 +135,22 @@ class _Check:
         if mode not in ("n", "nZ"):
             raise InvalidParameter("mode must be 'n' or 'nZ'")
         self.algebra, self.n, self.mode = algebra, n, mode
-        self.ground = indecomposables(algebra)
-        self.index = {module: x for x, module in enumerate(self.ground)}
-        # (position, module) in ground order, which is sorted order
-        self.projectives = [(x, p) for x, p in enumerate(self.ground) if is_projective(algebra, p)]
-        self.injectives = [(x, q) for x, q in enumerate(self.ground) if is_injective(algebra, q)]
+        self.first = first = first_positions(algebra)
+        self.size = first[algebra.m + 1]
+        self.projectives = self.injectives = 0
+        for v in range(1, algebra.m + 1):
+            p = algebra.lmax(v)  # P_v = M(p, v), its socle shifted into 1..m
+            self.projectives |= 1 << (first[algebra.vertex(p)] + v - p)
+            self.injectives |= 1 << (first[v + 1] - 1)  # I_v = M(v, rmax(v))
+        self._ground: list[Indec] | None = None
         self._table: list[list[int]] | None = None
         self._hit: list[int] | None = None
+
+    @property
+    def ground(self) -> list[Indec]:
+        if self._ground is None:
+            self._ground = indecomposables(self.algebra)
+        return self._ground
 
     def table(self) -> list[list[int]]:
         if self._table is None:
@@ -135,41 +160,51 @@ class _Check:
     def hit(self) -> list[int]:
         """Per module x, the bitset of y with Ext^k(x, y) != 0 for some k in 1..n-1."""
         if self._hit is None:
-            self._hit = [0] * len(self.ground)
+            self._hit = [0] * self.size
             for rows in self.table():
                 for x, row in enumerate(rows):
                     self._hit[x] |= row
         return self._hit
+
+    def position(self, module) -> int | None:
+        """The bit of M(i,j), or None unless ``module`` is a pair of integers
+        with 1 <= i <= m and i <= j <= rmax(i)."""
+        try:
+            i, j = module
+        except (TypeError, ValueError):
+            return None
+        m, rmax = self.algebra.m, self.algebra._rmax
+        if type(i) is int and type(j) is int and 1 <= i <= m and i <= j <= rmax[i - 1]:
+            return self.first[i] + j - i
+        return None
 
     def mask(self, members) -> int:
         """The bitset of ``members``, which must all be modules over the algebra."""
         members = frozenset(members)
         chosen = 0
         for module in members:
-            x = self.index.get(module)
+            x = self.position(module)
             if x is None:
-                bad = min(module for module in members if module not in self.index)
+                bad = min(module for module in members if self.position(module) is None)
                 raise InvalidSubcategory(f"{bad} is not a module over {self.algebra}")
             chosen |= 1 << x
         return chosen
 
     def failures(self, chosen: int) -> Iterator[Failure]:
         """Every reason the member bitset ``chosen`` fails, in ``verify_ct``'s order."""
-        for x, p in self.projectives:
-            if not chosen >> x & 1:
-                yield Failure("MissingProjective", module=p)
-        for x, q in self.injectives:
-            if not chosen >> x & 1:
-                yield Failure("MissingInjective", module=q)
+        for x in _bits(self.projectives & ~chosen):
+            yield Failure("MissingProjective", module=self.ground[x])
+        for x in _bits(self.injectives & ~chosen):
+            yield Failure("MissingInjective", module=self.ground[x])
 
-        ground, hit = self.ground, self.hit()
-        ordered = [x for x in range(len(ground)) if chosen >> x & 1]
+        hit = self.hit()
+        ordered = _bits(chosen)
         left = 0
         for x in ordered:
             left |= hit[x]
 
         if left & chosen:
-            table = self.table()
+            ground, table = self.ground, self.table()
             for x in ordered:
                 if not hit[x] & chosen:
                     continue
@@ -180,7 +215,7 @@ class _Check:
                                 "OrthogonalityFailure", module=ground[x], other=ground[y], degree=k
                             )
 
-        for z, module in enumerate(ground):
+        for z in range(self.size):
             if chosen >> z & 1:
                 continue
             hit_left = left >> z & 1
@@ -188,16 +223,24 @@ class _Check:
             if hit_left and hit_right:
                 continue
             side = "both" if not hit_left and not hit_right else ("left" if not hit_left else "right")
-            yield Failure("PerpGap", module=module, side=side)
+            yield Failure("PerpGap", module=self.ground[z], side=side)
 
         if self.mode == "nZ":
+            algebra, first, m = self.algebra, self.first, self.algebra.m
             for x in ordered:
-                module = ground[x]
-                if is_projective(self.algebra, module):
+                if self.projectives >> x & 1:
                     continue
-                image = omega(self.algebra, module, self.n)
-                if image is not ZERO and not chosen >> self.index[image] & 1:
-                    yield Failure("NotClosedUnderOmegaN", module=module)
+                i = bisect_right(first, x, 1, m + 1) - 1
+                j = i + x - first[i]
+                for _ in range(self.n):  # Omega M(i,j) = M(lmax(j), i-1), or 0
+                    p = algebra.lmax(j)
+                    if p == i:
+                        break
+                    i, j = p, i - 1
+                else:
+                    v = algebra.vertex(i)
+                    if not chosen >> (first[v] + j - i) & 1:
+                        yield Failure("NotClosedUnderOmegaN", module=self.ground[x])
 
 
 def tau_n_closure(algebra: Algebra, n: int) -> frozenset[Indec]:
@@ -230,12 +273,12 @@ def enumerate_ct(
     """
     check = _Check(algebra, n, mode)
     bound = DEFAULT_MAX_GROUND_SET if max_ground_set is None else max_ground_set
-    if sum(algebra.kupisch) > bound:
-        raise GroundSetTooLarge(
-            f"{sum(algebra.kupisch)} indecomposables exceeds the bound {bound}"
-        )
+    if bound < 0:
+        raise InvalidParameter(f"max_ground_set must be >= 0, got {bound}")
+    if check.size > bound:
+        raise GroundSetTooLarge(f"{check.size} indecomposables exceeds the bound {bound}")
 
-    size = len(check.ground)
+    size = check.size
     hit = check.hit()
     conflict = list(hit)
     for x in range(size):
@@ -243,11 +286,8 @@ def enumerate_ct(
             if hit[x] >> y & 1:
                 conflict[y] |= 1 << x
 
-    forced = sorted({x for x, _ in check.projectives + check.injectives})
-    forced_mask = 0
-    for x in forced:
-        forced_mask |= 1 << x
-    for x in forced:
+    forced_mask = check.projectives | check.injectives
+    for x in _bits(forced_mask):
         if conflict[x] & forced_mask:
             return []
 
@@ -296,6 +336,6 @@ def enumerate_ct(
     for mask in maximal:
         chosen = forced_mask | mask
         if next(check.failures(chosen), None) is None:
-            results.append(frozenset(check.ground[x] for x in range(size) if chosen >> x & 1))
+            results.append(frozenset(check.ground[x] for x in _bits(chosen)))
     results.sort(key=subcategory_key)
     return results

@@ -84,3 +84,35 @@ def random_kupisch(rng, total_cap=48, max_m=16, max_entry=8, require_nonhomog=Tr
 def random_algebras(seed, count, **kwargs):
     rng = random.Random(seed)
     return [random_kupisch(rng, **kwargs) for _ in range(count)]
+
+
+# (n, Loewy lengths of its homogeneous blocks of global dimension n) for the
+# glued chains of the benchmark's ``glued`` workload, m = 15 to 57
+GLUED_CHAINS = (
+    (2, (3, 3, 3, 3, 2)),
+    (2, (4, 4, 3, 3)),
+    (2, (5, 4, 3, 2, 2)),
+    (2, (6, 5, 4, 3)),
+    (2, (4, 3, 3, 3, 3, 2, 2)),
+    (2, (5, 5, 4, 4, 3, 3)),
+    (4, (3, 2, 2)),
+    (4, (3, 3, 2)),
+    (4, (4, 3, 2)),
+    (4, (3, 3, 3, 2)),
+    (4, (4, 4, 3)),
+    (4, (5, 3, 3, 2)),
+    (6, (3, 2)),
+    (6, (3, 3)),
+    (6, (4, 3)),
+    (6, (4, 2, 2)),
+    (6, (4, 4, 3, 3)),
+    (4, (7, 7, 7, 7)),
+)
+
+
+def glued_chain(n, loewys):
+    blocks = [homogeneous(Kind.ACYCLIC, n * l // 2 + 1, l) for l in loewys]
+    chain = blocks[0]
+    for block in blocks[1:]:
+        chain = glue(chain, block)
+    return chain

@@ -20,7 +20,7 @@ from nakct import (
     simple,
 )
 from nakct.tilting import subcategory_key
-from conftest import random_algebras
+from conftest import GLUED_CHAINS, glued_chain, random_algebras
 
 
 def test_admits_fixtures():
@@ -180,19 +180,20 @@ def test_forced_boundary_simples(lam_c):
         assert not is_injective(lam_c, boundary)
 
 
-def _count_calls(monkeypatch, names):
-    """Count the calls classify makes to each of its imported names."""
-    import nakct.classify
+def _count_calls(monkeypatch, names, module="nakct.classify"):
+    """Count the calls ``module`` makes to each of its imported names."""
+    import importlib
 
+    module = importlib.import_module(module)
     calls = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(nakct.classify, name)
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(nakct.classify, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -214,6 +215,21 @@ def test_positive_self_glued_ungluings_once(monkeypatch, lam_c, glued15):
         calls.update(dict.fromkeys(calls, 0))
         assert classify_nz(algebra, 4).case is Case.CYCLIC_SELF_GLUED
         assert calls == {"unglue": 1, "tau_n_closure": 0, "_Check": 1}, algebra
+
+
+def test_positive_glued_verification_on_positions(monkeypatch):
+    # the benchmark's glued chains and their self-gluings: verifying the
+    # one subcategory builds one Ext table and never lists the modules
+    calls = _count_calls(monkeypatch, ("indecomposables", "ext_table"), "nakct.tilting")
+    inside = _count_calls(monkeypatch, ("indecomposables",), "nakct.modules")
+    for n, loewys in GLUED_CHAINS:
+        chain = glued_chain(n, loewys)
+        for algebra in (self_glue(chain), chain):
+            calls.update(dict.fromkeys(calls, 0))
+            inside.update(dict.fromkeys(inside, 0))
+            assert classify_nz(algebra, n).exists, (algebra, n)
+            assert calls == {"indecomposables": 0, "ext_table": 1}, (algebra, n)
+            assert inside == {"indecomposables": 0}, (algebra, n)
 
 
 def test_algebra_builds_per_classification(monkeypatch, lam_c, glued15):

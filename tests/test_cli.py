@@ -207,6 +207,7 @@ def test_input_error_exit_codes(files, capsys):
         ["ext", "--x", "1,1", "--y", "1,1", "--max-k", "100000", files["lamC.json"]],
         ["verify", "--n", "1002", "--subcat", files["marked.json"], files["a9r2.json"]],
         ["enumerate", "--n", "10000000", files["a9r2.json"]],
+        ["enumerate", "--n", "2", "--max-ground-set", "-1", files["a9r2.json"]],
         ["ext", "--x", "1,1", "--y", "1,1", "--max-k", "-3", files["lamC.json"]],
         ["gldim", files["nested.json"]],
         ["gldim", files["utf16.json"]],
@@ -226,6 +227,9 @@ def test_capacity_exit_code(files, capsys):
         capsys, ["enumerate", "--n", "2", "--max-ground-set", "80", files["big.json"]]
     )
     assert code == 0
+    code, _, err = _run(capsys, ["enumerate", "--n", "2", "--max-ground-set", "0", files["a9r2.json"]])
+    assert code == 3
+    assert json.loads(err)["error"] == "GroundSetTooLarge"
 
 
 def test_size_cap_exit_code(files, capsys):

@@ -19,6 +19,7 @@ from nakct import (
 )
 from nakct.modules import ext_table
 from nakct.tilting import Failure, ct_failures, subcategory_key
+from conftest import GLUED_CHAINS, glued_chain
 
 TOTAL = 20
 KMAX = 5
@@ -174,6 +175,32 @@ def test_ct_failures_match_definitions_exhaustively():
     assert checked == 3418
 
 
+def test_check_positions_exhaustively():
+    # the verifier numbers modules by arithmetic, M(i,j) at first[i] + j - i,
+    # and must agree with the list it no longer builds
+    import pytest
+
+    from nakct import Indec, InvalidSubcategory, is_injective, is_projective
+    from nakct.tilting import _Check
+
+    for algebra in all_algebras(14):
+        check = _Check(algebra, 2, "nZ")
+        ground = indecomposables(algebra)
+        assert [check.position(module) for module in ground] == list(range(len(ground)))
+        assert check.size == len(ground)
+        for bitset, law in ((check.projectives, is_projective), (check.injectives, is_injective)):
+            assert bitset == sum(1 << x for x, module in enumerate(ground) if law(algebra, module))
+        m = algebra.m
+        bad = [Indec(0, 0), Indec(m + 1, m + 1)]  # not canonical, whether modules or not
+        bad += [Indec(i, i - 1) for i in range(1, m + 1)]
+        bad += [Indec(i, algebra.rmax(i) + 1) for i in range(1, m + 1)]
+        for members in [[module] for module in bad] + [bad]:
+            with pytest.raises(InvalidSubcategory) as caught:
+                check.mask(ground + members)
+            assert str(caught.value) == f"{min(members)} is not a module over {algebra}"
+        assert check._ground is None, algebra
+
+
 def gamma_n_matches_classification(total):
     """(series checked, positives) over every cyclic series up to total: the
     n in 2..20 that classify as self-glued are exactly the n that gamma
@@ -251,40 +278,6 @@ def test_one_ungluing_matches_all_cut_points_on_every_rotation():
                 pairs += 1
                 positive += got["exists"]
     assert (pairs, positive) == (6680, 59)
-
-
-# (n, Loewy lengths of its homogeneous blocks of global dimension n) for the
-# glued chains of the benchmark's ``glued`` workload, m = 15 to 57
-GLUED_CHAINS = (
-    (2, (3, 3, 3, 3, 2)),
-    (2, (4, 4, 3, 3)),
-    (2, (5, 4, 3, 2, 2)),
-    (2, (6, 5, 4, 3)),
-    (2, (4, 3, 3, 3, 3, 2, 2)),
-    (2, (5, 5, 4, 4, 3, 3)),
-    (4, (3, 2, 2)),
-    (4, (3, 3, 2)),
-    (4, (4, 3, 2)),
-    (4, (3, 3, 3, 2)),
-    (4, (4, 4, 3)),
-    (4, (5, 3, 3, 2)),
-    (6, (3, 2)),
-    (6, (3, 3)),
-    (6, (4, 3)),
-    (6, (4, 2, 2)),
-    (6, (4, 4, 3, 3)),
-    (4, (7, 7, 7, 7)),
-)
-
-
-def glued_chain(n, loewys):
-    from nakct import glue, homogeneous
-
-    blocks = [homogeneous(Kind.ACYCLIC, n * l // 2 + 1, l) for l in loewys]
-    chain = blocks[0]
-    for block in blocks[1:]:
-        chain = glue(chain, block)
-    return chain
 
 
 def test_glued_members_equal_tau_n_closure():

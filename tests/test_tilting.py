@@ -76,6 +76,10 @@ def test_verify_rejects_foreign_member():
         ct_failures(algebra, frozenset({Indec(1, 7)}), 2)
     with pytest.raises(InvalidParameter):
         ct_failures(algebra, frozenset(), 1)
+    # a member is a pair of integers; nothing else is coerced into a module
+    for stray in (ZERO, Indec(2.0, 2), (1, 1, 1)):
+        with pytest.raises(InvalidSubcategory, match="is not a module"):
+            verify_ct(algebra, frozenset({Indec(1, 1), stray}), 2)
 
 
 def test_tau_closure_fixtures():
