@@ -154,15 +154,17 @@ def _piece_members(algebra: Algebra, pieces) -> frozenset[Indec]:
     return frozenset(members)
 
 
-def _cyclic_homog_members(algebra: Algebra, n: int, i: int) -> frozenset[Indec]:
-    """The projectives, the simples at i + kn and those M(i+kn, i+(k+1)n)
-    that are modules (when l = n + 2)."""
+def _cyclic_homog_members(
+    algebra: Algebra, n: int, i: int, proj: set[Indec]
+) -> frozenset[Indec]:
+    """The projectives ``proj``, the simples at i + kn and those
+    M(i+kn, i+(k+1)n) that are modules (when l = n + 2)."""
     extra = set()
     for k in range(algebra.m // n):
         extra.add(simple(algebra, i + k * n))
         if algebra.exists(i + k * n, i + (k + 1) * n):
             extra.add(canonical(algebra, i + k * n, i + (k + 1) * n))
-    return frozenset(projectives(algebra) | extra)
+    return frozenset(proj | extra)
 
 
 def _checked_decompose(algebra: Algebra, n: int, homogeneous: bool) -> Decomposition | None:
@@ -243,7 +245,8 @@ def _classify_unverified(algebra: Algebra, n: int) -> ClassificationResult:
             case = Case.CYCLIC_HOMOG_STACKED
         else:
             return ClassificationResult(False, Case.NONE, None, ())
-        subs = tuple(_cyclic_homog_members(algebra, n, i) for i in range(1, n + 1))
+        proj = projectives(algebra)
+        subs = tuple(_cyclic_homog_members(algebra, n, i, proj) for i in range(1, n + 1))
         return ClassificationResult(True, case, None, subs)
     if decomposition is None:
         return ClassificationResult(False, Case.NONE, None, ())

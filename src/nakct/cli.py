@@ -146,10 +146,11 @@ def cmd_resolution_quiver(args) -> int:
 def cmd_singularity(args) -> int:
     algebra = _load_algebra(args.algebra)
     model = sing.gamma(algebra, args.n)
-    fcat = sing.f_objects(algebra, model)
+    quiver = sing.resolution_quiver(algebra)
+    on_cycle = sing.cyclic_simples(algebra, quiver)
+    fcat = sing.f_objects(algebra, model, on_cycle=on_cycle)
     record = sing.sing_ct(model)
     witness = sing.gorenstein_witness(model)
-    quiver = sing.resolution_quiver(algebra)
     _emit(
         {
             "gamma": alg.to_json_dict(model.gamma),
@@ -159,7 +160,7 @@ def cmd_singularity(args) -> int:
             "distinguished": sorted(record.distinguished_simple_indices),
             "gamma_indices": sorted(record.gamma_indices),
             "count": record.count,
-            "cyclic_simples": sorted(sing.cyclic_simples(algebra)),
+            "cyclic_simples": sorted(on_cycle),
             "f": fcat.to_json_dict(),
             "resolution": {str(i): j for i, j in quiver.successor},
             "gorenstein_witness": [witness.i, witness.j],
@@ -253,18 +254,29 @@ COMMANDS = (
     ("self-glue", cmd_self_glue, "self-glue an acyclic algebra", (_ALGEBRA,)),
     ("gldim", cmd_gldim, "global dimension", (_ALGEBRA,)),
 )
-_NAMES = frozenset(name for name, *_ in COMMANDS)
+_ROWS = {name: (func, arguments) for name, func, _, arguments in COMMANDS}
+
+
+def _fill(parser: argparse.ArgumentParser, name: str, func, arguments) -> argparse.ArgumentParser:
+    """Give parser the arguments and defaults of one COMMANDS row."""
+    parser.set_defaults(func=func, command=name)
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    return parser
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of the named subcommand only, or (for None or any other
-    word) of all of them.
+    """The standalone parser of the named subcommand, or (for None or any
+    other word) the full parser with every subcommand.
 
-    An argv that starts with that name parses the same either way; building
-    one subparser instead of ten is most of a small command's start-up.
+    The named parser, prog "nakct <name>", parses the rest of an argv that
+    starts with the name exactly as the full parser parses all of it: the
+    same namespace, error text, exit code and help.  Building that one
+    parser, instead of a top-level parser and a subparser, is most of a
+    small command's start-up.
     """
-    if command not in _NAMES:
-        command = None
+    if command in _ROWS:
+        return _fill(_Parser(prog=f"nakct {command}"), command, *_ROWS[command])
     parser = _Parser(
         prog="nakct",
         description="Exact computations over Nakayama algebras: AR quivers, "
@@ -272,19 +284,26 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, arguments in COMMANDS:
-        if command is not None and name != command:
-            continue
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        for flags, kwargs in arguments:
-            p.add_argument(*flags, **kwargs)
+        _fill(sub.add_parser(name, help=help_text), name, func, arguments)
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, by the one parser of the
+    subcommand it names (or, for --help, no argv or an unknown word, by the
+    full parser)."""
+    if argv and argv[0] in _ROWS:
+        return build_parser(argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
+    """Run one command line and return its exit code (--help still exits
+    through argparse).  An argv that starts with a subcommand name builds
+    that subcommand's parser alone."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = parse_args(argv)
         return args.func(args)
     except GroundSetTooLarge as exc:
         sys.stderr.write(json.dumps({"error": "GroundSetTooLarge", "reason": str(exc)}) + "\n")

@@ -1,7 +1,8 @@
 """The module category of a Nakayama algebra.
 
 Indecomposables are the uniserials M(i,j) with socle at vertex i and top at
-vertex j (canonically 1 <= i <= m, with M(i+m, j+m) identified with M(i,j)).
+vertex j (canonically 1 <= i <= m; over a cyclic algebra M(i+m, j+m) is
+identified with M(i,j)).
 Projective covers, injective hulls, syzygies and AR translates are all index
 arithmetic driven by lmax/rmax; Hom dimensions count admissible images of
 the top and are checked against the matrix oracle in ``nakct.oracle``.
@@ -54,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .algebra import Algebra
+from .algebra import Algebra, Kind
 from .errors import InternalError, InvalidParameter
 
 
@@ -114,8 +115,12 @@ def canonical(algebra: Algebra, i: int, j: int) -> Indec:
 
 
 def indec(algebra: Algebra, i: int, j: int) -> Indec:
+    """The module M(i,j), canonical; over an acyclic algebra (i, j) must
+    already be canonical, since only a cycle identifies M(i+m, j+m) with it."""
     module = canonical(algebra, i, j)
-    if not algebra.exists(module.i, module.j):
+    if not algebra.exists(module.i, module.j) or (
+        algebra.kind is Kind.ACYCLIC and module.i != i
+    ):
         raise InvalidParameter(f"M({i},{j}) is not a module over {algebra}")
     return module
 

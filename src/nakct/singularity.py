@@ -8,6 +8,10 @@ vertices.  No complexes and no localization appear anywhere; everything is
 finite bookkeeping over the block decomposition.  Gamma's cluster-tilting
 subcategories come from the closed form of ``classify_nz``; the brute-force
 enumeration they must equal is run by the tests, not here.
+
+The ``singularity`` command builds each part of the model once: Gamma, the
+resolution quiver, and the cyclic simples read off that quiver, which it
+hands on to ``f_objects`` and prints.
 """
 
 from __future__ import annotations
@@ -94,11 +98,14 @@ def resolution_quiver(algebra: Algebra) -> ResolutionQuiver:
     return ResolutionQuiver(algebra.m, tuple(pairs))
 
 
-def cyclic_simples(algebra: Algebra) -> set[int]:
-    """Vertices lying on a cycle of the resolution quiver."""
+def cyclic_simples(algebra: Algebra, quiver: ResolutionQuiver | None = None) -> set[int]:
+    """Vertices lying on a cycle of the resolution quiver, which is built
+    here unless the algebra's ``quiver`` is given."""
     if algebra.kind is not Kind.CYCLIC:
         raise KindMismatch("cyclic simples are defined for cyclic algebras")
-    successor = resolution_quiver(algebra).as_dict()
+    if quiver is None:
+        quiver = resolution_quiver(algebra)
+    successor = quiver.as_dict()
     on_cycle = set()
     color = {}  # 0 in progress, 1 done
     for start in range(1, algebra.m + 1):
@@ -115,19 +122,26 @@ def cyclic_simples(algebra: Algebra) -> set[int]:
     return on_cycle
 
 
-def f_objects(algebra: Algebra, model: GammaPresentation | None = None) -> FCategory:
+def f_objects(
+    algebra: Algebra,
+    model: GammaPresentation | None = None,
+    *,
+    on_cycle: set[int] | None = None,
+) -> FCategory:
     """The Frobenius subcategory: top and tau-socle both cyclic simples.
 
     Given the algebra's singularity model, the F-projectives are Gamma's
     enumeration and the objects are also produced by them and the two
     non-projective per-block families; without one only the definitional
-    filter is applied and f_projectives stays absent.
+    filter is applied and f_projectives stays absent.  The cyclic simples
+    are computed here unless the algebra's ``on_cycle`` is given.
     """
     if algebra.kind is not Kind.CYCLIC:
         raise KindMismatch("the construction needs a cyclic algebra")
     if gldim(algebra) is not INFINITY:
         raise FiniteGlobalDimension(f"{algebra} has finite global dimension")
-    on_cycle = cyclic_simples(algebra)
+    if on_cycle is None:
+        on_cycle = cyclic_simples(algebra)
     objects = frozenset(
         module
         for module in indecomposables(algebra)

@@ -7,9 +7,11 @@ the per-criterion verdict lines bypass capture so they always appear.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,7 @@ from nakct.modules import cover_hull
 from nakct.tilting import subcategory_key
 from conftest import random_kupisch, register_acceptance
 
+ROOT = Path(__file__).resolve().parent.parent
 SWEEP_NS = (2, 3, 4, 5, 6)
 
 
@@ -319,9 +322,10 @@ def test_criterion_8_cli_determinism(tmp_path):
         ["singularity", "--n", "4", paths["lamC.json"]],
         ["gldim", paths["lamC.json"]],
     ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for argv in commands:
         full = [sys.executable, "-m", "nakct.cli", *argv]
-        runs = [subprocess.run(full, capture_output=True) for _ in range(2)]
+        runs = [subprocess.run(full, env=env, capture_output=True) for _ in range(2)]
         assert runs[0].returncode == runs[1].returncode
         assert runs[0].stdout == runs[1].stdout, argv
         assert b"\r" not in runs[0].stdout

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nakct.cli import COMMANDS, build_parser, run
+from nakct.cli import COMMANDS, build_parser, parse_args, run
 from nakct.errors import InvalidParameter
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -42,6 +45,9 @@ def files(tmp_path):
     write("bad.json", {"kind": "acyclic", "kupisch": [1, 1]})
     write("float.json", {"kind": "acyclic", "kupisch": [1, 2.9, 3]})
     write("float_members.json", {"members": [[1.9, 2.2], [1, 1]]})
+    write("a122.json", {"kind": "acyclic", "kupisch": [1, 2, 2]})
+    # M(4,4) is not a module over the 3-vertex line, and not M(1,1)
+    write("wrapped_members.json", {"members": [[4, 4], [1, 2], [2, 3], [3, 3]]})
     write("huge.json", {"kind": "acyclic", "homogeneous": {"m": 100000000, "l": 3}})
     write("huge_kupisch.json", {"kind": "cyclic", "kupisch": [20001]})
     # malformed files: too deeply nested to decode, and not UTF-8
@@ -201,6 +207,23 @@ def test_input_error_exit_codes(files, capsys):
     )
     assert code == 2 and not out
     assert json.loads(err)["error"] == "InvalidSubcategory"
+    # out-of-range coordinates on an acyclic algebra are not wrapped mod m
+    code, out, err = _run(
+        capsys,
+        ["verify", "--n", "2", "--mode", "n", "--subcat", files["wrapped_members.json"],
+         files["a122.json"]],
+    )
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidSubcategory"
+    code, out, err = _run(capsys, ["ext", "--x", "0,0", "--y", "1,1", files["a122.json"]])
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidParameter"
+    # on a cycle M(i+m, j+m) is M(i,j)
+    shifted = _run(capsys, ["ext", "--x", "17,18", "--y", "2,3", files["lamC.json"]])
+    assert shifted == _run(capsys, ["ext", "--x", "3,4", "--y", "2,3", files["lamC.json"]])
+    assert shifted[0] == 0
     # verify and enumerate tabulate Ext^1..Ext^(n-1), under ext's degree bound
     too_deep = [
         ["ext", "--x", "1,1", "--y", "1,1", "--k", "100000", files["lamC.json"]],
@@ -242,8 +265,9 @@ def test_size_cap_exit_code(files, capsys):
 
 def test_determinism_across_processes(files):
     argv = [sys.executable, "-m", "nakct.cli", "classify", "--n", "4", files["lamC.json"]]
-    first = subprocess.run(argv, capture_output=True, text=True)
-    second = subprocess.run(argv, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    first = subprocess.run(argv, env=env, capture_output=True, text=True)
+    second = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith("\n") and "\r" not in first.stdout
@@ -263,13 +287,13 @@ def test_determinism_in_process(files, capsys):
         assert first == second
 
 
-def _parse_outcome(parser, argv):
-    """What parsing argv does: a Namespace, an error message, or an exit with
+def _parse_outcome(parse, argv):
+    """What parse(argv) does: a Namespace, an error message, or an exit with
     the text printed on the way out."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-            return ("namespace", parser.parse_args(argv))
+            return ("namespace", parse(argv))
     except InvalidParameter as exc:
         return ("error", str(exc))
     except SystemExit as exc:
@@ -315,11 +339,11 @@ def test_single_subparser_parses_like_the_full_parser():
     corpus += [[name, "--help"] for name in names]
     corpus += [[name, "-h", "--n", "2"] for name in names]
     for argv in corpus:
-        full = _parse_outcome(build_parser(), argv)
-        single = _parse_outcome(build_parser(argv[0] if argv else None), argv)
+        full = _parse_outcome(build_parser().parse_args, argv)
+        single = _parse_outcome(parse_args, argv)
         assert full == single, argv
-    # and it holds only the named subcommand
-    assert "{gldim}" in build_parser("gldim").format_usage()
+    # the named parser holds only that command; any other word gets them all
+    assert build_parser("gldim").format_usage() == "usage: nakct gldim [-h] [algebra]\n"
     assert "{" + ",".join(names) + "}" in build_parser("bogus").format_usage()
 
 

@@ -45,10 +45,15 @@ def test_count_equals_kupisch_sum(lam_a, lam_b, lam_c):
         assert len(indecomposables(algebra)) == sum(algebra.kupisch)
 
 
-def test_indec_validation(lam_a):
+def test_indec_validation(lam_a, lam_b):
     assert indec(lam_a, 2, 5) == Indec(2, 5)
     with pytest.raises(InvalidParameter):
         indec(lam_a, 2, 6)
+    # a line algebra does not identify M(i+m, j+m) with M(i,j); a cycle does
+    for i, j in ((0, 0), (8, 8), (9, 12)):
+        with pytest.raises(InvalidParameter):
+            indec(lam_a, i, j)
+    assert indec(lam_b, 8, 9) == Indec(1, 2)
 
 
 def test_cover_hull_fixtures(lam_a, lam_b):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import sys
@@ -34,7 +35,7 @@ from nakct import (
     sing_image,
 )
 from nakct.algebra import to_json_dict
-from nakct.cli import run
+from nakct.cli import COMMANDS, run
 from nakct.tilting import subcategory_key
 
 
@@ -393,3 +394,59 @@ def test_gamma_without_n_classifies_once(monkeypatch, lam_c):
         calls[0] = 0
         assert gamma(algebra).n == 4
         assert calls[0] == 1, algebra
+
+
+@pytest.mark.parametrize(
+    "original, expected",
+    [
+        (nakct.singularity.resolution_quiver, 1),
+        (nakct.singularity.cyclic_simples, 1),
+        (nakct.modules.projectives, 2),  # Gamma's, in classify_nz and in sing_ct
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_singularity_command_builds_each_part_once(
+    monkeypatch, tmp_path, capsys, lam_c, original, expected
+):
+    # the resolution quiver and the cyclic simples are handed on to f_objects
+    # and to the output, and Gamma's projectives to all n of its subcategories
+    calls = _count_calls(monkeypatch, original)
+    for idx, algebra in enumerate(_classified_fixtures(lam_c)):
+        path = _write_algebra(tmp_path / f"algebra{idx}.json", algebra)
+        calls[0] = 0
+        assert run(["singularity", "--n", "4", path]) == 0
+        capsys.readouterr()
+        assert calls[0] == expected, algebra
+
+
+def _count_parsers(monkeypatch):
+    """A one-element list counting ArgumentParser constructions from now on."""
+    calls = [0]
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return calls
+
+
+def test_singularity_command_builds_one_parser(monkeypatch, tmp_path, capsys, lam_c):
+    calls = _count_parsers(monkeypatch)
+    for idx, algebra in enumerate(_classified_fixtures(lam_c)):
+        path = _write_algebra(tmp_path / f"algebra{idx}.json", algebra)
+        calls[0] = 0
+        assert run(["singularity", "--n", "4", path]) == 0
+        capsys.readouterr()
+        assert calls[0] == 1, algebra
+    # --help and an unknown word get the full parser: the top and every subcommand
+    full = 1 + len(COMMANDS)
+    calls[0] = 0
+    with pytest.raises(SystemExit):
+        run(["--help"])
+    assert calls[0] == full
+    calls[0] = 0
+    assert run(["singularities", "--n", "4"]) == 2
+    assert calls[0] == full
+    capsys.readouterr()
