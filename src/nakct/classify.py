@@ -3,9 +3,12 @@
 Four families admit one: homogeneous algebras subject to arithmetic
 conditions on (m, l, n), and non-homogeneous algebras that decompose into
 (or self-glue from) homogeneous pieces of global dimension n.  In each
-admitting case the subcategories are written down explicitly and verified
-once, on the algebra they are returned for; the brute-force enumerator is
-the ground truth the decision procedure is tested against, never a fallback.
+admitting case the subcategories are written down explicitly, as bitsets on
+the positions of the cluster tilting check (M(a,b) is bit
+first[vertex(a)] + b - a), and verified once by that check, on the algebra
+they are returned for; modules are made only for the verified answer.  The
+brute-force enumerator is the ground truth the decision procedure is tested
+against, never a fallback.
 
 A glued or self-glued algebra's subcategory is the union of its pieces'
 projectives and injectives, built in place from each piece (s, e, l): the
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, Kind, _kind, cut_points, is_homogeneous, unglue
 from .errors import InternalError, InvalidParameter, KindMismatch
-from .modules import Indec, canonical, projectives, simple
+from .modules import Indec
 from .tilting import _Check, ct_failures, tau_n_closure
 
 
@@ -141,30 +144,33 @@ def decompose(algebra: Algebra, n: int) -> Decomposition | None:
     return Decomposition(tuple(Piece(*piece) for piece in pieces))
 
 
-def _piece_members(algebra: Algebra, pieces) -> frozenset[Indec]:
-    """The union over pieces (s, e, l) of the piece's projectives
-    M(max(s, v-l+1), v) and injectives M(v, min(e, v+l-1)), v = s..e, in
-    the coordinates of the algebra the pieces belong to."""
-    members = set()
+def _piece_members(check: _Check, pieces) -> int:
+    """The bitset on ``check``'s positions of the union over pieces (s, e, l)
+    of the piece's projectives M(max(s, v-l+1), v) and injectives
+    M(v, min(e, v+l-1)), v = s..e, in the coordinates of the algebra the
+    pieces belong to; M(a, b) is bit first[vertex(a)] + b - a."""
+    first, m = check.first, check.algebra.m
+    chosen = 0
     for piece in pieces:
         s, e, l = piece.start, piece.end, piece.loewy
         for v in range(s, e + 1):
-            members.add(canonical(algebra, max(s, v - l + 1), v))
-            members.add(canonical(algebra, v, min(e, v + l - 1)))
-    return frozenset(members)
+            a = max(s, v - l + 1)
+            chosen |= 1 << (first[(a - 1) % m + 1] + v - a)
+            chosen |= 1 << (first[(v - 1) % m + 1] + min(e - v, l - 1))
+    return chosen
 
 
-def _cyclic_homog_members(
-    algebra: Algebra, n: int, i: int, proj: set[Indec]
-) -> frozenset[Indec]:
-    """The projectives ``proj``, the simples at i + kn and those
+def _cyclic_homog_members(check: _Check, n: int, i: int) -> int:
+    """The bitset of the projectives, the simples at i + kn and those
     M(i+kn, i+(k+1)n) that are modules (when l = n + 2)."""
-    extra = set()
+    algebra, first = check.algebra, check.first
+    chosen = check.projectives
     for k in range(algebra.m // n):
-        extra.add(simple(algebra, i + k * n))
-        if algebra.exists(i + k * n, i + (k + 1) * n):
-            extra.add(canonical(algebra, i + k * n, i + (k + 1) * n))
-    return frozenset(proj | extra)
+        v = algebra.vertex(i + k * n)
+        chosen |= 1 << first[v]
+        if algebra.exists(v, v + n):
+            chosen |= 1 << (first[v] + n)
+    return chosen
 
 
 def _checked_decompose(algebra: Algebra, n: int, homogeneous: bool) -> Decomposition | None:
@@ -225,8 +231,9 @@ def _selfglued_decomposition(algebra: Algebra, n: int) -> Decomposition | None:
     return None
 
 
-def _classify_unverified(algebra: Algebra, n: int) -> ClassificationResult:
-    """classify_nz without the verification of what it constructs."""
+def _decide(algebra: Algebra, n: int) -> tuple[Case, Decomposition | None]:
+    """The case of classify_nz, and the decomposition its subcategory is
+    built from (None for a homogeneous cyclic algebra or a negative)."""
     spec = is_homogeneous(algebra)
     if algebra.kind is Kind.ACYCLIC:
         decomposition = _checked_decompose(algebra, n, spec is not None)
@@ -240,33 +247,37 @@ def _classify_unverified(algebra: Algebra, n: int) -> ClassificationResult:
     else:
         l, m = spec.l, algebra.m
         if l == 2 and m % n == 0:
-            case = Case.CYCLIC_HOMOG_RADSQ
-        elif l >= 4 and n == l - 2 and m % n == 0:
-            case = Case.CYCLIC_HOMOG_STACKED
-        else:
-            return ClassificationResult(False, Case.NONE, None, ())
-        proj = projectives(algebra)
-        subs = tuple(_cyclic_homog_members(algebra, n, i, proj) for i in range(1, n + 1))
-        return ClassificationResult(True, case, None, subs)
+            return Case.CYCLIC_HOMOG_RADSQ, None
+        if l >= 4 and n == l - 2 and m % n == 0:
+            return Case.CYCLIC_HOMOG_STACKED, None
+        return Case.NONE, None
     if decomposition is None:
-        return ClassificationResult(False, Case.NONE, None, ())
-    members = _piece_members(algebra, decomposition.pieces)
-    return ClassificationResult(True, case, decomposition, (members,))
+        return Case.NONE, None
+    return case, decomposition
 
 
 def classify_nz(algebra: Algebra, n: int) -> ClassificationResult:
-    """Decide existence of nZ-cluster tilting subcategories and construct them."""
+    """Decide existence of nZ-cluster tilting subcategories and construct them.
+
+    Each subcategory is built as a bitset on the positions of one check,
+    re-verified there, and only then turned into modules.
+    """
     if n < 2:
         raise InvalidParameter("cluster tilting needs n >= 2")
-    result = _classify_unverified(algebra, n)
-    if result.subcategories:
-        check = _Check(algebra, n, "nZ")
-        for members in result.subcategories:
-            if next(check.failures(check.mask(members)), None) is not None:
-                raise InternalError(
-                    f"constructed subcategory failed re-verification on {algebra}, n={n}"
-                )
-    return result
+    case, decomposition = _decide(algebra, n)
+    if case is Case.NONE:
+        return ClassificationResult(False, case, None, ())
+    check = _Check(algebra, n, "nZ")
+    if decomposition is None:
+        subs = [_cyclic_homog_members(check, n, i) for i in range(1, n + 1)]
+    else:
+        subs = [_piece_members(check, decomposition.pieces)]
+    for chosen in subs:
+        if next(check.failures(chosen), None) is not None:
+            raise InternalError(
+                f"constructed subcategory failed re-verification on {algebra}, n={n}"
+            )
+    return ClassificationResult(True, case, decomposition, tuple(map(check.modules, subs)))
 
 
 def result_to_json_dict(result: ClassificationResult) -> dict:

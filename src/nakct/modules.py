@@ -41,13 +41,25 @@ different basis map or to 0.  So Ext^1(Y, N) != 0 iff, for some shift of N,
 Modules are numbered by their place in ``indecomposables``: M(i,j) with
 1 <= i <= m sits at first[i] + j - i, where first[i] = sum over v < i of
 (rmax(v) - v + 1) counts the modules with a smaller socle
-(``first_positions``).  For each c the modules M(c, i-1) ..
-M(c, min(j-1, rmax(c))) are one run of consecutive positions, starting at
-first[vertex(c)] + i-1-c, and ``ext_table`` ORs one mask per run into the
-Ext^1 row of Y, looping over i and j with the Kupisch tables and this
-formula alone: no module objects and no Hom call.  Degree k is the Ext^1
-row of Omega^(k-1) X.  ``ext_dims_upto`` keeps the three-Hom count for
-dimensions, and the tests hold the table to it.
+(``first_positions``).  Every c in [p, i-1] has rmax(c) >= j, because
+M(c,j) exists, so the Ext^1 row of Y is the OR of the runs
+M(c, i-1) .. M(c, j-1), all of length L = j-i+1, at the consecutive
+positions from first[vertex(c)] + i-1-c on.  Runs of different vertices lie
+in different blocks of positions and runs of one vertex lie m apart, so
+while L <= m they are disjoint and the row is
+
+    ((1 << L) - 1) * (sum over c in [p, i-1] of 2^(first[vertex(c)] + i-1-c)),
+
+one subtraction of prefix sums, a shift and a subtraction.  Once L > m the
+runs of c and c-m meet and merge into one run per socle vertex: for each c
+from max(p, i-m) to i-1 the run starts where that of c does and has length
+L + c - c', where c' is the least c' = c (mod m) in [p, i-1].  These lengths
+take at most two values, so the row is two such products.  ``ext_table``
+loops over i and j with the Kupisch tables and these formulas alone: no
+module objects, no Hom call and no loop over c per module.  Degree k is the
+Ext^1 row of Omega^(k-1) X.  ``ext_dims_upto`` keeps the three-Hom count
+for dimensions, and the tests hold the table to it and to its transpose
+over the opposite algebra.
 """
 
 from __future__ import annotations
@@ -300,24 +312,50 @@ def ext_table(algebra: Algebra, kmax: int) -> list[list[int]]:
     m, lmax, rmax = algebra.m, algebra._lmax, algebra._rmax
     first = first_positions(algebra)
     size = first[m + 1]
+    lo = lmax[0]  # lmax(1), the least socle of a syzygy
+    # M(c, d) sits at offset[c - lo] + d, for c = lo..m
+    offset = [first[(c - 1) % m + 1] - c for c in range(lo, m + 1)]
+    # ps[c - lo] is the sum of 2^(offset[c' - lo] + 1) over c' = lo..c-1
+    # (the + 1 keeps the exponent >= 0: offset is -1 at c = 1)
+    ps = [0]
+    for e in offset[:-1]:
+        ps.append(ps[-1] + (1 << (e + 1)))
+    # lm[j] = lmax(j) for j = 1..rmax(m)
+    lm = [0] + [lmax[(j - 1) % m] + (j - 1) // m * m for j in range(1, rmax[-1] + 1)]
+
+    def runs(a: int, b: int, length: int) -> int:
+        # the disjoint runs of c = a..b-1, all `length` long: their OR is
+        # ((1 << length) - 1) times the sum of their starts, with the
+        # exponents of ps (the row is shifted by i - 2 at the end)
+        starts = ps[b - lo] - ps[a - lo]
+        return (starts << length) - starts
+
     ext1 = [0] * size
     syzygy_at: list[int | None] = [None] * size
-    x = 0  # the position of M(i, j)
     for i in range(1, m + 1):
+        x = first[i]  # the position of M(i, j)
+        top = ps[i - lo]
         for j in range(i, rmax[i - 1] + 1):
-            # base = vertex(.) - 1 indexes the tables, as in Algebra.lmax
-            base = (j - 1) % m
-            p = lmax[base] + j - 1 - base  # lmax(j)
-            if p < i:
-                base = (p - 1) % m
-                syzygy_at[x] = first[base + 1] + i - 1 - p  # Omega M(i,j) = M(p, i-1)
-                row = 0
-                for c in range(p, i):
-                    # the run M(c, i-1) .. M(c, hi): consecutive positions
-                    base = (c - 1) % m
-                    hi = min(j - 1, rmax[base] + c - 1 - base)
-                    row |= ((1 << (hi - i + 2)) - 1) << (first[base + 1] + i - 1 - c)
-                ext1[x] = row
+            p = lm[j]
+            if p == i:  # M(i, j) is projective, and so is every longer one
+                break
+            syzygy_at[x] = offset[p - lo] + i - 1  # Omega M(i,j) = M(p, i-1)
+            length = j - i + 1
+            if length <= m:
+                # runs(p, i, length), inlined: runs of one vertex lie at
+                # least m apart, so the runs of c = p..i-1 are disjoint
+                starts = top - ps[p - lo]
+                row = (starts << length) - starts
+            else:
+                # the runs of c and c - m meet, so c = max(p, i-m)..i-1
+                # stands for its class: one run from its own start to the
+                # end of the run of the least c' = c (mod m) in [p, i-1]
+                wraps = (i - 1 - p) // m
+                cut = p + wraps * m  # c' = c - wraps*m from cut on, c - (wraps-1)*m below
+                row = runs(cut, i, length + wraps * m) | runs(
+                    max(p, i - m), cut, length + (wraps - 1) * m
+                )
+            ext1[x] = row << (i - 1) >> 1
             x += 1
 
     table = [ext1]

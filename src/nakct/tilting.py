@@ -16,7 +16,9 @@ which is its place in ``indecomposables``.  The projectives P_v = M(lmax(v), v)
 (shifted so the socle lies in 1..m) and the injectives I_v = M(v, rmax(v))
 are two bitsets, one lookup per vertex, and Omega^n of a member is walked in
 integer coordinates.  The list of ``indecomposables`` itself is built only
-when a failure names a module or ``enumerate_ct`` returns its subcategories.
+when a failure names a module or ``enumerate_ct`` returns its subcategories;
+``classify_nz`` builds its members as bitsets and reads back the modules of
+the verified ones by one walk over the offsets.
 """
 
 from __future__ import annotations
@@ -160,11 +162,20 @@ class _Check:
     def hit(self) -> list[int]:
         """Per module x, the bitset of y with Ext^k(x, y) != 0 for some k in 1..n-1."""
         if self._hit is None:
-            self._hit = [0] * self.size
-            for rows in self.table():
-                for x, row in enumerate(rows):
-                    self._hit[x] |= row
+            hit, *rest = self.table()
+            for rows in rest:
+                hit = list(map(int.__or__, hit, rows))
+            self._hit = hit
         return self._hit
+
+    def modules(self, chosen: int) -> frozenset[Indec]:
+        """The modules of the member bitset ``chosen``, by one pointer walk over ``first``."""
+        first, i, out = self.first, 1, []
+        for x in _bits(chosen):
+            while first[i + 1] <= x:
+                i += 1
+            out.append(Indec(i, i + x - first[i]))
+        return frozenset(out)
 
     def position(self, module) -> int | None:
         """The bit of M(i,j), or None unless ``module`` is a pair of integers
@@ -299,7 +310,7 @@ def enumerate_ct(
         and not conflict[x] & forced_mask
     ]
     # branch on high-conflict vertices first; prunes fastest
-    free.sort(key=lambda x: (-bin(conflict[x]).count("1"), x))
+    free.sort(key=lambda x: (-conflict[x].bit_count(), x))
     free_mask = 0
     for x in free:
         free_mask |= 1 << x
@@ -315,7 +326,7 @@ def enumerate_ct(
         pool = candidates | excluded
         pivot = max(
             (x for x in free if (pool >> x) & 1),
-            key=lambda x: bin(candidates & ~conflict[x] & ~(1 << x)).count("1"),
+            key=lambda x: (candidates & ~conflict[x] & ~(1 << x)).bit_count(),
         )
         branch = (candidates & conflict[pivot]) | (candidates & (1 << pivot))
         for x in free:

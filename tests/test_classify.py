@@ -3,6 +3,7 @@ import pytest
 from nakct import (
     Case,
     Indec,
+    InternalError,
     InvalidParameter,
     Kind,
     KindMismatch,
@@ -230,6 +231,46 @@ def test_positive_glued_verification_on_positions(monkeypatch):
             assert classify_nz(algebra, n).exists, (algebra, n)
             assert calls == {"indecomposables": 0, "ext_table": 1}, (algebra, n)
             assert inside == {"indecomposables": 0}, (algebra, n)
+
+
+def test_classify_reverifies_each_member(monkeypatch, lam_c, glued15):
+    # clearing any one member of any one constructed bitset fails the
+    # re-verification: a missing projective or injective, or a perp gap
+    import nakct.classify
+
+    cases = [
+        ("_piece_members", glued15, 4),
+        ("_piece_members", lam_c, 4),
+        ("_cyclic_homog_members", homogeneous(Kind.CYCLIC, 6, 2), 3),
+        ("_cyclic_homog_members", homogeneous(Kind.CYCLIC, 8, 6), 4),
+    ]
+    for name, algebra, n in cases:
+        original = getattr(nakct.classify, name)
+        built = []
+
+        def recorded(*args, _original=original):
+            built.append(_original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(nakct.classify, name, recorded)
+        result = classify_nz(algebra, n)
+        assert len(built) == len(result.subcategories)
+        for target, chosen in enumerate(built):
+            assert chosen.bit_count() == len(result.subcategories[target])
+            for x in range(chosen.bit_length()):
+                if not chosen >> x & 1:
+                    continue
+                calls = []
+
+                def cleared(*args, _original=original, _target=target, _x=x):
+                    calls.append(None)
+                    value = _original(*args)
+                    return value & ~(1 << _x) if len(calls) - 1 == _target else value
+
+                monkeypatch.setattr(nakct.classify, name, cleared)
+                with pytest.raises(InternalError):
+                    classify_nz(algebra, n)
+        monkeypatch.setattr(nakct.classify, name, original)
 
 
 def test_algebra_builds_per_classification(monkeypatch, lam_c, glued15):

@@ -8,6 +8,8 @@ never lowered.
 from nakct import (
     INFINITY,
     Kind,
+    canonical,
+    canonical_rotation,
     classify_nz,
     enumerate_ct,
     ext_dims_upto,
@@ -23,6 +25,9 @@ from conftest import GLUED_CHAINS, glued_chain
 
 TOTAL = 20
 KMAX = 5
+# algebras of total length <= TOTAL whose opposite has another Kupisch
+# series (up to rotation)
+OTHER_SERIES = 396
 
 
 def kupisch_series(total):
@@ -86,6 +91,34 @@ def test_ext_table_matches_ext_dims_exhaustively():
                 dims = ext_dims_upto(algebra, mx, my, KMAX)
                 bits = tuple(table[k][x] >> y & 1 for k in range(KMAX))
                 assert bits == tuple(int(d != 0) for d in dims), (algebra, mx, my)
+
+
+def _opposite(algebra):
+    """A^op: its projective at v is the dual of A's injective at m+1-v."""
+    m = algebra.m
+    c = [algebra.rmax(m + 1 - v) - (m + 1 - v) + 1 for v in range(1, m + 1)]
+    return from_kupisch(algebra.kind, c)
+
+
+def test_ext_table_transpose_law_exhaustively():
+    # Ext^k over A from x to y equals Ext^k over A^op from Dy to Dx, with
+    # D M(i,j) = M(m+1-j, m+1-i): the rows of A's table are the columns of
+    # A^op's, so the closed form, which builds rows, is held to its own
+    # transpose on another algebra
+    other_series = 0
+    for algebra in all_algebras(TOTAL):
+        op, m = _opposite(algebra), algebra.m
+        ground, op_ground = indecomposables(algebra), indecomposables(op)
+        op_at = {module: y for y, module in enumerate(op_ground)}
+        dual = [op_at.get(canonical(op, m + 1 - j, m + 1 - i)) for i, j in ground]
+        assert len(dual) == len(op_ground) and set(dual) == set(range(len(dual))), algebra
+        other_series += canonical_rotation(op) != canonical_rotation(algebra)
+        table, op_table = ext_table(algebra, KMAX), ext_table(op, KMAX)
+        for rows, op_rows in zip(table, op_table):
+            for x, row in enumerate(rows):
+                for y, dy in enumerate(dual):
+                    assert row >> y & 1 == op_rows[dy] >> dual[x] & 1, (algebra, x, y)
+    assert other_series == OTHER_SERIES
 
 
 def test_classify_matches_enumeration_exhaustively():

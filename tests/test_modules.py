@@ -159,15 +159,24 @@ def _long_cyclic(rng, m):
 def test_ext_table_on_long_modules():
     rng = random.Random(9)
     kmax = 3
-    for _ in range(12):
-        algebra = _long_cyclic(rng, rng.randint(1, 5))
+    algebras = [_long_cyclic(rng, rng.randint(1, 5)) for _ in range(12)]
+    algebras += [from_kupisch(Kind.CYCLIC, [50]), from_kupisch(Kind.CYCLIC, [20, 21])]
+    merged = 0
+    for algebra in algebras:
         ground = indecomposables(algebra)
         table = ext_table(algebra, kmax)
+        m = algebra.m
+        # a non-projective M(i,j) with j - i >= m whose syzygy M(p, i-1)
+        # holds c and c - m: the runs of the two meet
+        merged += sum(
+            mx.j - mx.i >= m and mx.i - 1 - algebra.lmax(mx.j) >= m for mx in ground
+        )
         for x, mx in enumerate(ground):
             for y, my in enumerate(ground):
                 dims = ext_dims_upto(algebra, mx, my, kmax)
                 bits = tuple(table[k][x] >> y & 1 for k in range(kmax))
                 assert bits == tuple(int(d != 0) for d in dims), (algebra, mx, my)
+    assert merged > 0
 
 
 def test_ar_quiver_fixtures(lam_a, lam_b):

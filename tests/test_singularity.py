@@ -401,7 +401,7 @@ def test_gamma_without_n_classifies_once(monkeypatch, lam_c):
     [
         (nakct.singularity.resolution_quiver, 1),
         (nakct.singularity.cyclic_simples, 1),
-        (nakct.modules.projectives, 2),  # Gamma's, in classify_nz and in sing_ct
+        (nakct.modules.projectives, 1),  # Gamma's, in sing_ct; classify_nz reads a bitset
     ],
     ids=lambda value: getattr(value, "__name__", str(value)),
 )
@@ -409,7 +409,7 @@ def test_singularity_command_builds_each_part_once(
     monkeypatch, tmp_path, capsys, lam_c, original, expected
 ):
     # the resolution quiver and the cyclic simples are handed on to f_objects
-    # and to the output, and Gamma's projectives to all n of its subcategories
+    # and to the output; classify_nz takes Gamma's projectives from its check
     calls = _count_calls(monkeypatch, original)
     for idx, algebra in enumerate(_classified_fixtures(lam_c)):
         path = _write_algebra(tmp_path / f"algebra{idx}.json", algebra)
