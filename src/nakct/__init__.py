@@ -89,14 +89,3 @@ from .tilting import (
 )
 
 __version__ = "0.1.0"
-
-_ORACLE = ("MatrixRep", "matrix_ext_dim", "matrix_hom_dim", "matrix_rep")
-
-
-def __getattr__(name):
-    # the matrix oracle (and linalg) load on first use, never with the library
-    if name in _ORACLE:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

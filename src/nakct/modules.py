@@ -5,7 +5,8 @@ vertex j (canonically 1 <= i <= m; over a cyclic algebra M(i+m, j+m) is
 identified with M(i,j)).
 Projective covers, injective hulls, syzygies and AR translates are all index
 arithmetic driven by lmax/rmax; Hom dimensions count admissible images of
-the top and are checked against the matrix oracle in ``nakct.oracle``.
+the top; the tests check them against a matrix-representation oracle
+that lives outside the package.
 
 Ext comes from dimension shifting.  Hom(-, N) turns the sequence
 0 -> Omega Y -> P(Y) -> Y -> 0 into the exact sequence
@@ -248,7 +249,7 @@ def hom_dim(algebra: Algebra, m1: Indec, m2: Indec) -> int:
     """dim Hom(M(a,b), M(c,d)): the v = b (mod m) in [c, min(d, c+b-a)].
 
     Each such v is the image of the top of the source in a nonzero map.
-    Must agree with the matrix-representation oracle.
+    The tests check it against Hom computed from matrix representations.
     """
     a, b = m1
     c, d = m2

@@ -15,10 +15,10 @@ The check works on integer positions, not on module objects: M(i,j) with
 which is its place in ``indecomposables``.  The projectives P_v = M(lmax(v), v)
 (shifted so the socle lies in 1..m) and the injectives I_v = M(v, rmax(v))
 are two bitsets, one lookup per vertex, and Omega^n of a member is walked in
-integer coordinates.  The list of ``indecomposables`` itself is built only
-when a failure names a module or ``enumerate_ct`` returns its subcategories;
-``classify_nz`` builds its members as bitsets and reads back the modules of
-the verified ones by one walk over the offsets.
+integer coordinates.  The list of ``indecomposables`` is never built: a
+failure names its module by bisecting the offsets, and ``enumerate_ct`` and
+``classify_nz`` read back the modules of the verified member sets by one
+walk over them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .modules import (
     Indec,
     ext_table,
     first_positions,
-    indecomposables,
     projectives,
     tau_n,
 )
@@ -126,9 +125,8 @@ class _Check:
     first[i] + j - i) and the bitsets of the projectives and the injectives.
     The Ext table, and per module the row of where Ext^1..Ext^(n-1) from
     it is nonzero, are built on first need: a member set that misses a
-    projective or an injective fails before either is.  So is ``ground``,
-    the list of ``indecomposables``, which only a named failure and
-    ``enumerate_ct`` read.
+    projective or an injective fails before either is.  Modules are named
+    from positions by arithmetic on ``first``; no module list is built.
     """
 
     def __init__(self, algebra: Algebra, n: int, mode: str):
@@ -144,15 +142,8 @@ class _Check:
             p = algebra.lmax(v)  # P_v = M(p, v), its socle shifted into 1..m
             self.projectives |= 1 << (first[algebra.vertex(p)] + v - p)
             self.injectives |= 1 << (first[v + 1] - 1)  # I_v = M(v, rmax(v))
-        self._ground: list[Indec] | None = None
         self._table: list[list[int]] | None = None
         self._hit: list[int] | None = None
-
-    @property
-    def ground(self) -> list[Indec]:
-        if self._ground is None:
-            self._ground = indecomposables(self.algebra)
-        return self._ground
 
     def table(self) -> list[list[int]]:
         if self._table is None:
@@ -167,6 +158,12 @@ class _Check:
                 hit = list(map(int.__or__, hit, rows))
             self._hit = hit
         return self._hit
+
+    def module(self, x: int) -> Indec:
+        """The module at bit ``x``: M(i, i + x - first[i]), first[i] <= x < first[i+1]."""
+        first = self.first
+        i = bisect_right(first, x, 1, self.algebra.m + 1) - 1
+        return Indec(i, i + x - first[i])
 
     def modules(self, chosen: int) -> frozenset[Indec]:
         """The modules of the member bitset ``chosen``, by one pointer walk over ``first``."""
@@ -204,9 +201,9 @@ class _Check:
     def failures(self, chosen: int) -> Iterator[Failure]:
         """Every reason the member bitset ``chosen`` fails, in ``verify_ct``'s order."""
         for x in _bits(self.projectives & ~chosen):
-            yield Failure("MissingProjective", module=self.ground[x])
+            yield Failure("MissingProjective", module=self.module(x))
         for x in _bits(self.injectives & ~chosen):
-            yield Failure("MissingInjective", module=self.ground[x])
+            yield Failure("MissingInjective", module=self.module(x))
 
         hit = self.hit()
         ordered = _bits(chosen)
@@ -215,7 +212,7 @@ class _Check:
             left |= hit[x]
 
         if left & chosen:
-            ground, table = self.ground, self.table()
+            module, table = self.module, self.table()
             for x in ordered:
                 if not hit[x] & chosen:
                     continue
@@ -223,7 +220,7 @@ class _Check:
                     for k, rows in enumerate(table, start=1):
                         if rows[x] >> y & 1:
                             yield Failure(
-                                "OrthogonalityFailure", module=ground[x], other=ground[y], degree=k
+                                "OrthogonalityFailure", module=module(x), other=module(y), degree=k
                             )
 
         for z in range(self.size):
@@ -234,7 +231,7 @@ class _Check:
             if hit_left and hit_right:
                 continue
             side = "both" if not hit_left and not hit_right else ("left" if not hit_left else "right")
-            yield Failure("PerpGap", module=self.ground[z], side=side)
+            yield Failure("PerpGap", module=self.module(z), side=side)
 
         if self.mode == "nZ":
             algebra, first, m = self.algebra, self.first, self.algebra.m
@@ -251,7 +248,7 @@ class _Check:
                 else:
                     v = algebra.vertex(i)
                     if not chosen >> (first[v] + j - i) & 1:
-                        yield Failure("NotClosedUnderOmegaN", module=self.ground[x])
+                        yield Failure("NotClosedUnderOmegaN", module=self.module(x))
 
 
 def tau_n_closure(algebra: Algebra, n: int) -> frozenset[Indec]:
@@ -347,6 +344,6 @@ def enumerate_ct(
     for mask in maximal:
         chosen = forced_mask | mask
         if next(check.failures(chosen), None) is None:
-            results.append(frozenset(check.ground[x] for x in _bits(chosen)))
+            results.append(check.modules(chosen))
     results.sort(key=subcategory_key)
     return results

@@ -3,19 +3,21 @@
 Every uniserial module is realized by per-vertex bases and 0/1 arrow
 matrices; Hom spaces are nullspaces of the commuting equations and Ext is
 the cohomology of Hom(-, N) applied to the minimal projective resolution,
-ranked by exact elimination in ``nakct.linalg``.  It takes nothing from
+ranked by exact elimination in ``linalg``.  It takes nothing from
 ``nakct.modules`` but the ``Indec`` type, and it exists only to cross-check
-that module's index arithmetic: no library module imports it.
+that module's index arithmetic; it lives with the tests, outside the
+package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from nakct.algebra import Algebra
+from nakct.errors import InvalidParameter
+from nakct.modules import Indec
+
 from . import linalg
-from .algebra import Algebra
-from .errors import InvalidParameter
-from .modules import Indec
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from nakct import (
     is_homogeneous,
     is_injective,
     is_projective,
-    matrix_hom_dim,
     admits_homog_nct,
     omega,
     projectives,
@@ -52,6 +51,7 @@ from nakct import (
 )
 from nakct.modules import cover_hull
 from nakct.tilting import subcategory_key
+from oracles.matrix import matrix_hom_dim
 from conftest import random_kupisch, register_acceptance
 
 ROOT = Path(__file__).resolve().parent.parent

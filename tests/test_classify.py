@@ -221,7 +221,7 @@ def test_positive_self_glued_ungluings_once(monkeypatch, lam_c, glued15):
 def test_positive_glued_verification_on_positions(monkeypatch):
     # the benchmark's glued chains and their self-gluings: verifying the
     # one subcategory builds one Ext table and never lists the modules
-    calls = _count_calls(monkeypatch, ("indecomposables", "ext_table"), "nakct.tilting")
+    calls = _count_calls(monkeypatch, ("ext_table",), "nakct.tilting")
     inside = _count_calls(monkeypatch, ("indecomposables",), "nakct.modules")
     for n, loewys in GLUED_CHAINS:
         chain = glued_chain(n, loewys)
@@ -229,7 +229,7 @@ def test_positive_glued_verification_on_positions(monkeypatch):
             calls.update(dict.fromkeys(calls, 0))
             inside.update(dict.fromkeys(inside, 0))
             assert classify_nz(algebra, n).exists, (algebra, n)
-            assert calls == {"indecomposables": 0, "ext_table": 1}, (algebra, n)
+            assert calls == {"ext_table": 1}, (algebra, n)
             assert inside == {"indecomposables": 0}, (algebra, n)
 
 

@@ -220,6 +220,7 @@ def test_check_positions_exhaustively():
         check = _Check(algebra, 2, "nZ")
         ground = indecomposables(algebra)
         assert [check.position(module) for module in ground] == list(range(len(ground)))
+        assert [check.module(x) for x in range(len(ground))] == ground
         assert check.size == len(ground)
         for bitset, law in ((check.projectives, is_projective), (check.injectives, is_injective)):
             assert bitset == sum(1 << x for x, module in enumerate(ground) if law(algebra, module))
@@ -231,7 +232,6 @@ def test_check_positions_exhaustively():
             with pytest.raises(InvalidSubcategory) as caught:
                 check.mask(ground + members)
             assert str(caught.value) == f"{min(members)} is not a module over {algebra}"
-        assert check._ground is None, algebra
 
 
 def gamma_n_matches_classification(total):
@@ -295,22 +295,60 @@ def all_cut_points_selfglued(algebra, n):
     return ClassificationResult(True, Case.CYCLIC_SELF_GLUED, decomposition, (members,))
 
 
-def test_one_ungluing_matches_all_cut_points_on_every_rotation():
-    from nakct import is_homogeneous
-    from nakct.classify import result_to_json_dict
+def one_ungluing_matches_all_cut_points(series):
+    """(pairs, positives) over the non-homogeneous cyclic ``series`` and
+    n = 2..6.  On each pair classify_nz must agree with the classification
+    over every ungluing, and its verdict with the deep-ramp lemma: a
+    non-homogeneous cyclic algebra A is positive exactly when
+    p = deep_ramp_point(A) exists and decompose(unglue(A, p), n) parses.
+
+    Proof.  A is positive when the ungluing at some cut point parses into
+    pieces (s, e, l), e = s + nl/2; read on the cycle they tile it, and
+    c_v = min(v - s + 1, l) for v in (s, e].
+    (a) Every deep-ramp point p (c_{p+1} = 2, c_{p+2} >= 3) of a positive A
+        starts a piece of Loewy length >= 3.  If p+1 lies in a piece with
+        l >= 3, then c_{p+1} = 2 forces p + 1 = s + 1.  If it lies in a
+        piece with l = 2, then c_{p+2} = 2, whether p+2 lies in the same
+        piece or is the vertex s' + 1 of the next piece (s', e', l').
+    (b) Ungluing at a piece start parses into the same pieces.  The ungluing
+        at s has the series (1, c_{s+1}, ..., c_{s+m}), and decompose is
+        deterministic: at each piece start it reads the piece's ramp up to
+        c_{s+l} = l, forces the length nl/2 and finds the plateau, so it
+        lands on the next piece start.
+    (c) A non-homogeneous cyclic series with a cut point has a deep-ramp
+        point.  Cyclic entries are >= 2, so a cut point p that is not deep
+        has c_{p+2} = 2, which makes p+1 a cut point too; if no cut point is
+        deep, every entry is 2 and the series is homogeneous.
+    A positive A has a cut point, so by (c) a deep-ramp point, which by (a)
+    starts a piece, where by (b) the ungluing parses.  Conversely a parsed
+    ungluing makes A positive.
+    """
+    from nakct import decompose, is_homogeneous, unglue
+    from nakct.classify import deep_ramp_point, result_to_json_dict
 
     pairs = positive = 0
-    for c in kupisch_series(TOTAL)[1]:
+    for c in series:
         for s in range(len(c)):
             algebra = from_kupisch(Kind.CYCLIC, c[s:] + c[:s])
             if is_homogeneous(algebra) is not None:
                 continue
+            p = deep_ramp_point(algebra)
             for n in range(2, 7):
                 got = result_to_json_dict(classify_nz(algebra, n))
                 assert got == result_to_json_dict(all_cut_points_selfglued(algebra, n)), (algebra, n)
+                parses = p is not None and decompose(unglue(algebra, p), n) is not None
+                assert got["exists"] == parses, (algebra, n)
                 pairs += 1
                 positive += got["exists"]
-    assert (pairs, positive) == (6680, 59)
+    return pairs, positive
+
+
+def test_one_ungluing_matches_all_cut_points_on_every_rotation():
+    from nakct import self_glue
+
+    assert one_ungluing_matches_all_cut_points(kupisch_series(TOTAL)[1]) == (6680, 59)
+    chains = [self_glue(glued_chain(n, loewys)).kupisch for n, loewys in GLUED_CHAINS]
+    assert one_ungluing_matches_all_cut_points(chains) == (2000, 400)
 
 
 def test_glued_members_equal_tau_n_closure():

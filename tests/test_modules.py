@@ -21,7 +21,6 @@ from nakct import (
     indecomposables,
     injectives,
     is_projective,
-    matrix_ext_dim,
     min_resolution,
     omega,
     projective_dimension,
@@ -31,6 +30,7 @@ from nakct import (
     translate,
 )
 from nakct.modules import ext_table
+from oracles.matrix import matrix_ext_dim
 
 
 def test_indecomposable_counts(lam_a):

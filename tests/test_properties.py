@@ -184,7 +184,7 @@ def test_glued_projectives_follow_blocks(a1, a2):
 @settings(max_examples=50, deadline=None)
 @given(any_algebra)
 def test_hom_matches_matrix_oracle_sampled(algebra):
-    from nakct import matrix_hom_dim
+    from oracles.matrix import matrix_hom_dim
 
     mods = indecomposables(algebra)
     for m1 in mods[:6]:

@@ -26,7 +26,6 @@ from nakct import (
     homogeneous,
     is_injective,
     is_projective,
-    matrix_hom_dim,
     omega,
     resolution_quiver,
     self_glue,
@@ -37,6 +36,7 @@ from nakct import (
 from nakct.algebra import to_json_dict
 from nakct.cli import COMMANDS, run
 from nakct.tilting import subcategory_key
+from oracles.matrix import matrix_hom_dim
 
 
 def test_resolution_quiver_lam_c(lam_c):
