@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     GroundSetTooLarge,
@@ -39,25 +39,27 @@ class Kind(enum.Enum):
     CYCLIC = "cyclic"
 
 
-@dataclass(frozen=True)
-class HomogeneitySpec:
+def _frozen(name: str):
+    """Refuse to assign or delete an attribute of an immutable value."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class HomogeneitySpec(namedtuple("HomogeneitySpec", "l")):
     """Loewy length l when the relations are all paths of length l."""
 
-    l: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Algebra:
-    kind: Kind
-    kupisch: tuple[int, ...]
-    m: int = field(init=False, repr=False, compare=False)
-    _lmax: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _rmax: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    """A Nakayama algebra; it compares and hashes on (kind, kupisch) alone,
+    and m and the lmax/rmax tables are read off them when it is built."""
 
-    def __post_init__(self):
-        _validate_kupisch(self.kind, self.kupisch)
-        m = len(self.kupisch)
-        lmax = tuple(map(operator.sub, range(2, m + 2), self.kupisch))  # j + 1 - c_j
+    __slots__ = ("kind", "kupisch", "m", "_lmax", "_rmax")
+
+    def __init__(self, kind: Kind, kupisch: tuple[int, ...]):
+        _validate_kupisch(kind, kupisch)
+        m = len(kupisch)
+        lmax = tuple(map(operator.sub, range(2, m + 2), kupisch))  # j + 1 - c_j
         # lmax is weakly increasing, so one pointer finds every
         # rmax(i) = max{j : lmax(j) <= i}.  It starts at the last j = 1 (mod m)
         # with lmax(j) <= 1 and then moves fewer than 2m steps in all.
@@ -67,9 +69,29 @@ class Algebra:
             while lmax[j % m] + j // m * m <= i:  # lmax(j + 1) <= i
                 j += 1
             rmax.append(j)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_lmax", lmax)
-        object.__setattr__(self, "_rmax", tuple(rmax))
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "kupisch", kupisch)
+        init(self, "m", m)
+        init(self, "_lmax", lmax)
+        init(self, "_rmax", tuple(rmax))
+
+    def __setattr__(self, name, value):
+        _frozen(name)
+
+    def __delattr__(self, name):
+        _frozen(name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.kupisch) == (other.kind, other.kupisch)
+
+    def __hash__(self):
+        return hash((self.kind, self.kupisch))
+
+    def __repr__(self):
+        return f"Algebra(kind={self.kind!r}, kupisch={self.kupisch!r})"
 
     @property
     def is_cyclic(self) -> bool:

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import Algebra, Kind, _kind, cut_points, is_homogeneous, unglue
+from .algebra import Algebra, Kind, _frozen, _kind, cut_points, is_homogeneous, unglue
 from .errors import InternalError, InvalidParameter, KindMismatch
 from .modules import Indec
 from .tilting import _Check, ct_failures, tau_n_closure
@@ -46,27 +46,58 @@ class Case(enum.Enum):
     NONE = "None"
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(namedtuple("Piece", "start end loewy")):
     """A homogeneous stretch from vertex start to vertex end with Loewy length loewy."""
 
-    start: int
-    end: int
-    loewy: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    pieces: tuple[Piece, ...]
-    self_glued: bool = False
+class Decomposition(namedtuple("Decomposition", "pieces self_glued", defaults=(False,))):
+    """The pieces of a glued algebra, read on the cycle when self_glued."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ClassificationResult:
-    exists: bool
-    case: Case
-    decomposition: Decomposition | None
-    subcategories: tuple[frozenset[Indec], ...]
+    """The verdict of ``classify_nz``: whether an nZ-cluster tilting
+    subcategory exists, the case that decided it, the decomposition (None
+    for a homogeneous or negative case) and the subcategories as frozensets
+    of modules.
+
+    It is not a tuple: ``bench/run.py`` reads every tuple output as the
+    (exit code, stdout) pair of a CLI call.
+    """
+
+    __slots__ = ("exists", "case", "decomposition", "subcategories")
+
+    def __init__(self, exists: bool, case: Case, decomposition: Decomposition | None,
+                 subcategories: tuple[frozenset[Indec], ...]):
+        init = object.__setattr__
+        init(self, "exists", exists)
+        init(self, "case", case)
+        init(self, "decomposition", decomposition)
+        init(self, "subcategories", subcategories)
+
+    def __setattr__(self, name, value):
+        _frozen(name)
+
+    def __delattr__(self, name):
+        _frozen(name)
+
+    def _key(self) -> tuple:
+        return self.exists, self.case, self.decomposition, self.subcategories
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"ClassificationResult(exists={self.exists!r}, case={self.case!r}, "
+                f"decomposition={self.decomposition!r}, subcategories={self.subcategories!r})")
 
 
 def admits_homog_nct(kind: Kind | str, m: int, l: int, n: int) -> bool:

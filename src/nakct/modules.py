@@ -65,18 +65,16 @@ over the opposite algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from collections import namedtuple
 
 from .algebra import Algebra, Kind
 from .errors import InternalError, InvalidParameter
 
 
-class Indec(NamedTuple):
+class Indec(namedtuple("Indec", "i j")):
     """The uniserial module with socle at vertex i and top at vertex j."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -101,7 +99,6 @@ class _Zero:
 
 
 ZERO = _Zero()
-IndecOrZero = Union[Indec, _Zero]
 
 
 class _Infinity:
@@ -208,7 +205,7 @@ def _coomega_raw(algebra: Algebra, i: int, j: int) -> tuple[int, int] | None:
     return j + 1, b
 
 
-def omega(algebra: Algebra, module: IndecOrZero, k: int) -> IndecOrZero:
+def omega(algebra: Algebra, module: Indec | _Zero, k: int) -> Indec | _Zero:
     """k-th syzygy (k > 0), cosyzygy (k < 0) or the module itself (k = 0)."""
     if module is ZERO:
         return ZERO
@@ -222,7 +219,7 @@ def omega(algebra: Algebra, module: IndecOrZero, k: int) -> IndecOrZero:
     return canonical(algebra, i, j)
 
 
-def translate(algebra: Algebra, module: IndecOrZero, direction: str) -> IndecOrZero:
+def translate(algebra: Algebra, module: Indec | _Zero, direction: str) -> Indec | _Zero:
     """AR translate: fwd is tau (zero on projectives), bwd is tau^- (zero on injectives)."""
     if module is ZERO:
         return ZERO
@@ -237,7 +234,7 @@ def translate(algebra: Algebra, module: IndecOrZero, direction: str) -> IndecOrZ
     raise InvalidParameter(f"direction must be 'fwd' or 'bwd', got {direction!r}")
 
 
-def tau_n(algebra: Algebra, module: IndecOrZero, n: int, direction: str) -> IndecOrZero:
+def tau_n(algebra: Algebra, module: Indec | _Zero, n: int, direction: str) -> Indec | _Zero:
     """n-AR translate: tau after n-1 syzygy steps (or the dual)."""
     if n < 1:
         raise InvalidParameter("tau_n needs n >= 1")
@@ -262,7 +259,7 @@ def hom_dim(algebra: Algebra, m1: Indec, m2: Indec) -> int:
 # ---------------------------------------------------------------------------
 
 
-def min_resolution(algebra: Algebra, module: Indec, length: int) -> list[IndecOrZero]:
+def min_resolution(algebra: Algebra, module: Indec, length: int) -> list[Indec | _Zero]:
     """Terms P_0..P_length of the minimal projective resolution of module."""
     if length < 0:
         raise InvalidParameter("resolution length must be >= 0")
@@ -424,10 +421,11 @@ def gldim(algebra: Algebra):
     return best
 
 
-@dataclass(frozen=True)
-class ARQuiver:
-    vertices: tuple[Indec, ...]
-    arrows: tuple[tuple[Indec, Indec, str], ...]  # (source, target, "mono"|"epi")
+class ARQuiver(namedtuple("ARQuiver", "vertices arrows")):
+    """The modules and the irreducible maps between them, each arrow a
+    (source, target, "mono"|"epi") triple."""
+
+    __slots__ = ()
 
 
 def ar_quiver(algebra: Algebra) -> ARQuiver:

@@ -4,7 +4,7 @@ the figures in this area are usually drawn."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Algebra
 from .errors import InvalidParameter, InvalidSubcategory
@@ -14,15 +14,15 @@ from .singularity import ResolutionQuiver
 FORMATS = ("dot", "tikz", "ascii")
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    format: str = "dot"
-    highlight: frozenset[Indec] | None = None
-    circle: frozenset[Indec] | None = None
+class RenderSpec(namedtuple("RenderSpec", "format highlight circle")):
+    """The output format and the modules to box (highlight) and circle."""
 
-    def __post_init__(self):
-        if self.format not in FORMATS:
+    __slots__ = ()
+
+    def __new__(cls, format: str = "dot", highlight=None, circle=None):
+        if format not in FORMATS:
             raise InvalidParameter(f"format must be one of {FORMATS}")
+        return super().__new__(cls, format, highlight, circle)
 
 
 def _check_members(algebra: Algebra, spec: RenderSpec) -> None:

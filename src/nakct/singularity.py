@@ -16,7 +16,7 @@ hands on to ``f_objects`` and prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Algebra, Kind, homogeneous
 from .classify import Case, Decomposition, classify_nz, deep_ramp_point, read_plateau, read_ramp
@@ -39,21 +39,20 @@ from .modules import (
 )
 
 
-@dataclass(frozen=True)
-class ResolutionQuiver:
-    """The successor map i -> vertex of tau(soc P_i); sinks are omitted."""
+class ResolutionQuiver(namedtuple("ResolutionQuiver", "m successor")):
+    """The successor map i -> vertex of tau(soc P_i) on m vertices, as (i, j)
+    pairs; sinks are omitted."""
 
-    m: int
-    successor: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.successor)
 
 
-@dataclass(frozen=True)
-class FCategory:
-    objects: frozenset[Indec]
-    f_projectives: frozenset[Indec] | None
+class FCategory(namedtuple("FCategory", "objects f_projectives")):
+    """The Frobenius subcategory F and its projectives (None when not built)."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out = {"objects": sorted([m.i, m.j] for m in self.objects)}
@@ -62,24 +61,21 @@ class FCategory:
         return out
 
 
-@dataclass(frozen=True)
-class GammaPresentation:
+class GammaPresentation(
+    namedtuple("GammaPresentation", "algebra gamma projectives_enum block_offsets blocks n")
+):
     """One algebra's singularity model; ``gamma`` builds it, the other
     singularity functions take it."""
 
-    algebra: Algebra
-    gamma: Algebra
-    projectives_enum: tuple[Indec, ...]
-    block_offsets: tuple[int, ...]
-    blocks: Decomposition
-    n: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SingImage:
-    verdict: str  # "Zero" | "NonZero"
-    target: Indec | None = None
-    via: str | None = None  # "Inclusion" | "Projection" | "Identity"
+class SingImage(namedtuple("SingImage", "verdict target via", defaults=(None, None))):
+    """The image of a module in the model: verdict "Zero" or "NonZero", and
+    for a nonzero image its target and how it is reached ("Inclusion",
+    "Projection" or "Identity")."""
+
+    __slots__ = ()
 
 
 def resolution_quiver(algebra: Algebra) -> ResolutionQuiver:
@@ -281,11 +277,14 @@ def sing_image(model: GammaPresentation, module: Indec) -> SingImage:
     return SingImage("Zero")
 
 
-@dataclass(frozen=True)
-class SingClusterTilting:
-    count: int
-    distinguished_simple_indices: frozenset[int]
-    gamma_indices: frozenset[int]
+class SingClusterTilting(
+    namedtuple("SingClusterTilting", "count distinguished_simple_indices gamma_indices")
+):
+    """The count of nZ-cluster tilting subcategories of Gamma's stable
+    category, the simples upstairs that the distinguished one comes from, and
+    where their F-projective covers sit in the Gamma enumeration."""
+
+    __slots__ = ()
 
 
 def sing_ct(model: GammaPresentation) -> SingClusterTilting:

@@ -24,8 +24,8 @@ walk over them.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .algebra import Algebra
 from .errors import GroundSetTooLarge, InvalidParameter, InvalidSubcategory
@@ -41,13 +41,13 @@ from .modules import (
 DEFAULT_MAX_GROUND_SET = 64
 
 
-@dataclass(frozen=True)
-class Failure:
-    kind: str
-    module: Indec | None = None
-    other: Indec | None = None
-    degree: int | None = None
-    side: str | None = None
+class Failure(
+    namedtuple("Failure", "kind module other degree side", defaults=(None, None, None, None))
+):
+    """Why a subcategory is not cluster tilting: the kind of failure and,
+    where they apply, the modules, the Ext degree and the side involved."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -62,10 +62,10 @@ class Failure:
         return out
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    verdict: bool
-    failures: tuple[Failure, ...]
+class VerifyReport(namedtuple("VerifyReport", "verdict failures")):
+    """The verdict of ``verify_ct`` with every failure found."""
+
+    __slots__ = ()
 
 
 def subcategory_key(members) -> tuple:

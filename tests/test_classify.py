@@ -279,14 +279,14 @@ def test_algebra_builds_per_classification(monkeypatch, lam_c, glued15):
     import nakct.algebra
 
     builds = 0
-    original = nakct.algebra.Algebra.__post_init__
+    original = nakct.algebra.Algebra.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         nonlocal builds
         builds += 1
-        original(self)
+        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(nakct.algebra.Algebra, "__post_init__", counted)
+    monkeypatch.setattr(nakct.algebra.Algebra, "__init__", counted)
     cases = [(glued15, 4, 0), (_four_block_chain(glued15), 4, 1), (lam_c, 2, 9)]
     cases += [(algebra, 4, 1) for algebra in _rotations(lam_c)]
     for algebra, n, expected in cases:
