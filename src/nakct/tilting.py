@@ -5,10 +5,14 @@ additive closure).  Verification checks containment of projectives and
 injectives, pairwise Ext-orthogonality in degrees 1..n-1, the two
 perpendicularity equalities, and (in nZ mode) closure under the n-th
 syzygy.  Enumeration walks maximal orthogonal supersets of the forced
-members and filters them through the same failure stream as verification:
-maximality is necessary but not sufficient.  One check per algebra and n
-serves every member set of a call, and builds the Ext-vanishing bitsets of
-``ext_table`` once, and only when a member set needs them.
+members.  At each leaf of the search it drops the ones with a
+perpendicularity gap, by two whole-bitset ORs carried down the search (of
+the members' Ext rows and of their columns), and it passes every survivor
+through the same failure stream as verification: maximality is necessary
+but not sufficient, and in nZ mode closure under the n-th syzygy is still
+to check.  One check per algebra and n serves every member set of a call,
+and builds the Ext-vanishing bitsets of ``ext_table`` once, and only when
+a member set needs them.
 
 The check works on integer positions, not on module objects: M(i,j) with
 1 <= i <= m is bit first[i] + j - i of a member set (``first_positions``),
@@ -193,8 +197,15 @@ class _Check:
         for module in members:
             x = self.position(module)
             if x is None:
-                bad = min(module for module in members if self.position(module) is None)
-                raise InvalidSubcategory(f"{bad} is not a module over {self.algebra}")
+                # in repr order first, so that the outcome of min does not
+                # hang on the iteration order of the set
+                bad = [module for module in members if self.position(module) is None]
+                bad.sort(key=repr)
+                try:
+                    least = min(bad)
+                except TypeError:  # incomparable members: name the least by repr
+                    least = bad[0]
+                raise InvalidSubcategory(f"{least} is not a module over {self.algebra}")
             chosen |= 1 << x
         return chosen
 
@@ -276,8 +287,10 @@ def enumerate_ct(
 
     Candidates are the maximal conflict-free supersets of the forced members
     (projectives and injectives), where two modules conflict when some Ext
-    between them in degrees 1..n-1 is nonzero; each candidate then passes
-    through the full verifier.  Output is sorted lexicographically.
+    between them in degrees 1..n-1 is nonzero.  A candidate with a
+    perpendicularity gap, some module outside it not both hit by it and
+    hitting it, is dropped at its leaf of the search; every other one is
+    fully verified before it is returned.  Output is sorted lexicographically.
     """
     check = _Check(algebra, n, mode)
     bound = DEFAULT_MAX_GROUND_SET if max_ground_set is None else max_ground_set
@@ -288,11 +301,14 @@ def enumerate_ct(
 
     size = check.size
     hit = check.hit()
-    conflict = list(hit)
-    for x in range(size):
-        for y in range(size):
-            if hit[x] >> y & 1:
-                conflict[y] |= 1 << x
+    col = [0] * size  # col[y]: the x with Ext^k(x, y) != 0 for some k in 1..n-1
+    for x, row in enumerate(hit):
+        bit = 1 << x
+        while row:
+            low = row & -row
+            col[low.bit_length() - 1] |= bit
+            row ^= low
+    conflict = list(map(int.__or__, hit, col))
 
     forced_mask = check.projectives | check.injectives
     for x in _bits(forced_mask):
@@ -312,13 +328,20 @@ def enumerate_ct(
     for x in free:
         free_mask |= 1 << x
 
-    maximal: list[int] = []
+    # a leaf chosen = forced | included has no PerpGap when every module
+    # outside it is hit from chosen (left) and hits chosen (right)
+    outside = ((1 << size) - 1) & ~forced_mask
+    left = right = 0
+    for x in _bits(forced_mask):
+        left |= hit[x]
+        right |= col[x]
+    gapless: list[int] = []
 
-    def expand(included: int, candidates: int, excluded: int):
+    def expand(included: int, candidates: int, excluded: int, left: int, right: int):
         # Bron-Kerbosch with pivoting on the compatibility (conflict-free) graph
         if not candidates:
-            if not excluded:
-                maximal.append(included)
+            if not excluded and not outside & ~included & ~(left & right):
+                gapless.append(included)
             return
         pool = candidates | excluded
         pivot = max(
@@ -334,14 +357,16 @@ def enumerate_ct(
                 included | bit,
                 candidates & ~conflict[x] & ~bit,
                 excluded & ~conflict[x] & ~bit,
+                left | hit[x],
+                right | col[x],
             )
             candidates &= ~bit
             excluded |= bit
 
-    expand(0, free_mask, 0)
+    expand(0, free_mask, 0, left, right)
 
     results = []
-    for mask in maximal:
+    for mask in gapless:
         chosen = forced_mask | mask
         if next(check.failures(chosen), None) is None:
             results.append(check.modules(chosen))

@@ -15,12 +15,15 @@ from nakct import (
     ext_dims_upto,
     from_kupisch,
     gldim,
+    homogeneous,
     indecomposables,
+    injectives,
     projective_dimension,
+    projectives,
     simple,
 )
 from nakct.modules import ext_table
-from nakct.tilting import Failure, ct_failures, subcategory_key
+from nakct.tilting import Failure, _Check, ct_failures, subcategory_key
 from conftest import GLUED_CHAINS, glued_chain
 
 TOTAL = 20
@@ -208,13 +211,108 @@ def test_ct_failures_match_definitions_exhaustively():
     assert checked == 3418
 
 
+def reference_enumeration(algebra, ext, n, mode):
+    """``enumerate_ct`` from the definitions alone, by include/exclude
+    recursion: the forced members with every maximal conflict-free set of
+    free modules, kept when ``reference_failures`` finds nothing.
+
+    ``ext`` is as for ``reference_failures``; nothing here reads
+    ``ext_table`` or the library's check.
+    """
+
+    def conflict(x, y):
+        return any(ext[x, y][: n - 1]) or any(ext[y, x][: n - 1])
+
+    forced = frozenset(projectives(algebra) | injectives(algebra))
+    free = [
+        x
+        for x in indecomposables(algebra)
+        if x not in forced and not any(conflict(x, y) for y in forced | {x})
+    ]
+    found = []
+
+    def grow(k, chosen):
+        if k == len(free):
+            if all(x in chosen or any(conflict(x, y) for y in chosen) for x in free):
+                members = forced | chosen
+                if not reference_failures(algebra, ext, members, n, mode):
+                    found.append(members)
+            return
+        if not any(conflict(free[k], y) for y in chosen):
+            grow(k + 1, chosen | {free[k]})
+        grow(k + 1, chosen)
+
+    grow(0, frozenset())
+    return sorted(map(subcategory_key, found))
+
+
+def enumeration_matches_reference(algebras):
+    """(triples, triples with a subcategory, subcategories) over ``algebras``,
+    n = 2..4 and both modes, where ``enumerate_ct`` must equal the reference."""
+    triples = positive = found = 0
+    for algebra in algebras:
+        ground = indecomposables(algebra)
+        ext = {(x, y): ext_dims_upto(algebra, x, y, 3) for x in ground for y in ground}
+        for n in (2, 3, 4):
+            for mode in ("n", "nZ"):
+                got = list(map(subcategory_key, enumerate_ct(algebra, n, mode)))
+                assert got == reference_enumeration(algebra, ext, n, mode), (algebra, n, mode)
+                triples += 1
+                positive += bool(got)
+                found += len(got)
+    return triples, positive, found
+
+
+def test_enumerate_matches_reference_exhaustively():
+    # the only check of mode n that shares no code with ext_table or _Check
+    assert enumeration_matches_reference(all_algebras(TOTAL)) == (3792, 123, 266)
+
+
+def test_enumerate_matches_reference_on_larger_algebras():
+    algebras = [
+        homogeneous(Kind.CYCLIC, 6, 5),
+        homogeneous(Kind.CYCLIC, 8, 5),
+        homogeneous(Kind.CYCLIC, 8, 4),
+        homogeneous(Kind.ACYCLIC, 10, 4),
+    ]
+    enumeration_matches_reference(algebras)
+    assert len(enumerate_ct(algebras[0], 3, "n")) == 273
+
+
+def test_enumerate_verifies_only_gapless_leaves(monkeypatch):
+    # leaves with a perpendicularity gap are dropped inside the search, so
+    # in mode n every leaf the check sees is n-cluster tilting
+    calls = [0]
+    original = _Check.failures
+
+    def counted(self, chosen):
+        calls[0] += 1
+        return original(self, chosen)
+
+    monkeypatch.setattr(_Check, "failures", counted)
+
+    for algebra in all_algebras(14):
+        for n in (2, 3, 4):
+            calls[0] = 0
+            result = enumerate_ct(algebra, n, "n")
+            assert calls[0] == len(result), (algebra, n)
+    fixtures = [
+        ((Kind.CYCLIC, 8, 5), 2, "n", 0),  # 512 leaves, every one with a gap
+        ((Kind.CYCLIC, 6, 5), 3, "nZ", 273),  # 3 of them closed under Omega^3
+        ((Kind.CYCLIC, 8, 2), 4, "nZ", 4),
+    ]
+    for spec, n, mode, count in fixtures:
+        calls[0] = 0
+        enumerate_ct(homogeneous(*spec), n, mode)
+        assert calls[0] == count, (spec, n, mode)
+
+
 def test_check_positions_exhaustively():
     # the verifier numbers modules by arithmetic, M(i,j) at first[i] + j - i,
     # and must agree with the list it no longer builds
     import pytest
 
     from nakct import Indec, InvalidSubcategory, is_injective, is_projective
-    from nakct.tilting import _Check
 
     for algebra in all_algebras(14):
         check = _Check(algebra, 2, "nZ")

@@ -82,6 +82,39 @@ def test_verify_rejects_foreign_member():
             verify_ct(algebra, frozenset({Indec(1, 1), stray}), 2)
 
 
+class _Stray:
+    """A member that compares with nothing, with a chosen hash."""
+
+    def __init__(self, name, hash_value):
+        self.name, self.hash_value = name, hash_value
+
+    def __hash__(self):
+        return self.hash_value
+
+    def __repr__(self):
+        return self.name
+
+
+def test_verify_names_one_foreign_member_deterministically():
+    algebra = homogeneous(Kind.ACYCLIC, 7, 3)
+
+    def named(members):
+        with pytest.raises(InvalidSubcategory) as caught:
+            verify_ct(algebra, members, 2)
+        message = str(caught.value)
+        assert message.endswith(f" is not a module over {algebra}")
+        return message.split(" is not", 1)[0]
+
+    # comparable foreign members: the least is named, as before
+    assert named([(1, 1), (9, 9), (8, 8)]) == "(8, 8)"
+    # incomparable ones used to raise a bare TypeError; the least by repr is named
+    assert named([(1, 1), None, "x"]) == "x"
+    assert named([(1, 1), (9, 9), "ab"]) == "ab"
+    # whatever order the set iterates in
+    assert named([_Stray("a", 1), _Stray("b", 2)]) == "a"
+    assert named([_Stray("a", 2), _Stray("b", 1)]) == "a"
+
+
 def test_tau_closure_fixtures():
     algebra, members = marked_a9r2()
     assert tau_n_closure(algebra, 4) == members
